@@ -13,15 +13,23 @@ import math
 import os
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 
-from .expansion import PolynomialFamily, estimate_lambda_max, heat_coefficients
+from .expansion import (
+    PolynomialFamily,
+    apply_expansion,
+    estimate_lambda_max,
+    heat_coefficients,
+    resolve_family,
+)
 from .fields import FieldStack, read_field_csv, read_stack_csv, write_field_csv, write_stack_csv
 from .mesh import assemble_lb_operator, export_operator, load_mesh
 from .sphere import ground_truth_field, icosphere, two_cap_signal
 from .solvers import (
+    EigenSystem,
     eigen_reference,
     eigen_smooth,
     fem_euler_smooth,
@@ -30,7 +38,6 @@ from .solvers import (
 )
 from .stats import correlation_map, hotelling_t2_map, two_sample_t_map, write_statmap
 from .wavelets import WaveletKernel, wavelet_stack
-from .expansion import apply_expansion
 
 _VALIDATION_CAPS = ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0))
 
@@ -40,11 +47,20 @@ def _limit_threads():
     if not cap:
         return None
     try:
-        import threadpoolctl
-
-        return threadpoolctl.threadpool_limits(limits=int(cap))
-    except (ImportError, ValueError):
-        return None
+        limit = int(cap)
+    except ValueError:
+        limit = 0
+    if limit < 1:
+        reason = f"HEATFLOW_THREADS={cap!r} is not a positive integer"
+    else:
+        try:
+            import threadpoolctl
+        except ImportError:
+            reason = "HEATFLOW_THREADS is set but threadpoolctl is not installed"
+        else:
+            return threadpoolctl.threadpool_limits(limits=limit)
+    warnings.warn(f"{reason}; thread count not capped", RuntimeWarning, stacklevel=2)
+    return None
 
 
 def _write_json(path, payload):
@@ -58,27 +74,21 @@ def _echo_config(args, out_path):
     _write_json(str(out_path) + ".config.json", {"command": args.command, "flags": flags})
 
 
-def _family_from_args(args):
-    kind = getattr(args, "family", "chebyshev")
+def _family_from_args(args, kind):
     if kind == "jacobi":
         return PolynomialFamily.jacobi(args.alpha, args.beta)
-    if kind == "chebyshev":
-        return PolynomialFamily.chebyshev()
-    if kind == "hermite":
-        return PolynomialFamily.hermite()
-    if kind == "laguerre":
-        return PolynomialFamily.laguerre()
-    raise ValueError(f"unknown family {kind!r}")
+    return PolynomialFamily(kind)
 
 
 def _cmd_smooth(args):
+    if not (math.isfinite(args.sigma) and args.sigma >= 0):
+        raise ValueError(f"--sigma must be a finite number >= 0, got {args.sigma}")
+    if args.steps < 1:
+        raise ValueError(f"--steps must be >= 1, got {args.steps}")
     t0 = time.perf_counter()
     mesh = load_mesh(args.mesh)
     op = assemble_lb_operator(mesh)
-    family = _family_from_args(args)
-    if family.scaled:
-        b = estimate_lambda_max(op)
-        family = family.with_b(b if b > 0 else 1.0)
+    family = resolve_family(op, _family_from_args(args, args.family), args.sigma)
     t_assembly = time.perf_counter() - t0
 
     f = read_field_csv(args.signal)
@@ -142,11 +152,7 @@ def _cmd_wavelet(args):
 def _run_sphere_method(op, signal, truth, sigma, method, param, es_cache, args):
     t0 = time.perf_counter()
     if method in ("chebyshev", "jacobi", "hermite", "laguerre"):
-        if method == "jacobi":
-            family = PolynomialFamily.jacobi(args.alpha, args.beta)
-        else:
-            family = PolynomialFamily(method)
-        g = heat_smooth(op, signal, sigma, family=family, m=int(param))
+        g = heat_smooth(op, signal, sigma, family=_family_from_args(args, method), m=int(param))
     elif method == "fem":
         g = fem_euler_smooth(op, signal, sigma, int(param))
     elif method == "eigen":
@@ -155,8 +161,6 @@ def _run_sphere_method(op, signal, truth, sigma, method, param, es_cache, args):
             es_cache["es"] = eigen_reference(op, k)
         es = es_cache["es"]
         if es.k > k:
-            from .solvers import EigenSystem
-
             es = EigenSystem(es.eigenvalues[:k], es.eigenvectors[:, :k])
         g = eigen_smooth(es, op, signal, sigma)
     else:

@@ -9,16 +9,20 @@ three-term recurrence.
 """
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import special as _sp
 
 from .mesh import apply_lb
-from .special import kummer_1f1_log, log_gamma, scaled_bessel_i
+from .special import kummer_1f1_log, log_gamma
 
 _KINDS = ("chebyshev", "jacobi", "hermite", "laguerre")
 _NAN_CHECK_EVERY = 64
+# Hermite/Laguerre terms grow before they decay once sigma*lambda_max is
+# large; warn past this product.
+_UNSCALED_CAUTION = 30.0
 
 
 @dataclass(frozen=True)
@@ -136,7 +140,7 @@ def recurrence_params(family, n):
 
 
 def _check_sigma_degree(sigma, m):
-    if sigma < 0:
+    if not sigma >= 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     if m < 0:
         raise ValueError(f"degree must be >= 0, got {m}")
@@ -147,12 +151,9 @@ def chebyshev_coefficients(sigma, b, m):
     _check_sigma_degree(sigma, m)
     if not b > 0:
         raise ValueError(f"b must be positive, got {b}")
-    x = 0.5 * b * sigma
-    sbi = scaled_bessel_i(m, x)
-    signs = np.where(np.arange(m + 1) % 2 == 0, 1.0, -1.0)
-    factor = np.full(m + 1, 2.0)
-    factor[0] = 1.0
-    c = factor * signs * sbi
+    n = np.arange(m + 1)
+    c = np.where(n % 2 == 0, 2.0, -2.0) * _sp.ive(n, 0.5 * b * sigma)
+    c[0] *= 0.5
     return ExpansionCoefficients(PolynomialFamily.chebyshev(b=float(b)), float(sigma), c)
 
 
@@ -289,18 +290,14 @@ def numeric_coefficients(weight, family, m, nodes=None):
     K = max(K, 2 * (m + 1))
     b = family.b
     if family.kind == "chebyshev":
-        # c_0 = mean, c_n = (2/K) sum W cos(n theta); accumulated in node
-        # blocks so large K never materializes an (m+1) x K matrix
-        n = np.arange(m + 1)[:, None]
-        c = np.zeros(m + 1)
-        block = 8192
-        for start in range(0, K, block):
-            idx = np.arange(start + 1, min(start + block, K) + 1)
-            theta = (2.0 * idx - 1.0) * math.pi / (2.0 * K)
-            lam = 0.5 * b * (np.cos(theta) + 1.0)
-            W = _eval_weight(weight, lam)
-            c += np.cos(n * theta[None, :]) @ W
-        c *= 2.0 / K
+        # c_n = (2/K) sum_k W(theta_k) cos(n theta_k), halved at n = 0, over
+        # theta_k = (2k - 1) pi / (2K): the DCT-II of W divided by K. Imported
+        # here to keep scipy.fft out of the CLI's start-up.
+        from scipy.fft import dct
+
+        theta = (2.0 * np.arange(1, K + 1) - 1.0) * math.pi / (2.0 * K)
+        W = _eval_weight(weight, 0.5 * b * (np.cos(theta) + 1.0))
+        c = dct(W, type=2)[: m + 1] / K
         c[0] *= 0.5
     else:
         x, w = _sp.roots_jacobi(K, family.alpha, family.beta)
@@ -331,7 +328,7 @@ def evaluate_expansion(coeffs, lam):
     return out
 
 
-def estimate_lambda_max(op, use_cache=True):
+def estimate_lambda_max(op):
     """Upper bound on the largest eigenvalue of Delta = A^-1 C.
 
     Block power iteration on the symmetrized A^-1/2 C A^-1/2 (a small
@@ -339,7 +336,7 @@ def estimate_lambda_max(op, use_cache=True):
     single power vector), run to a relative Ritz-value tolerance and then
     multiplied by a 1.01 safety factor. The result is cached on the operator.
     """
-    if use_cache and op.lambda_max_hint is not None:
+    if op.lambda_max_hint is not None:
         return op.lambda_max_hint
     if op.C.nnz == 0 or np.abs(op.C.data).max() == 0.0:
         op.lambda_max_hint = 0.0
@@ -368,6 +365,31 @@ def estimate_lambda_max(op, use_cache=True):
     bound = 1.01 * ray
     op.lambda_max_hint = bound
     return bound
+
+
+def resolve_family(op, family=None, sigma=0.0):
+    """The family to expand in on op, with the domain scale b filled in.
+
+    family defaults to Chebyshev. A scaled family without b gets the spectral
+    bound of the operator (1 when the operator is zero). An unscaled family
+    warns when sigma*lambda_max is large enough for its terms to grow before
+    they decay.
+    """
+    if family is None:
+        family = PolynomialFamily.chebyshev()
+    if family.scaled and family.b is None:
+        b = estimate_lambda_max(op)
+        family = family.with_b(b if b > 0 else 1.0)
+    if not family.scaled and sigma > 0:
+        product = estimate_lambda_max(op) * sigma
+        if product > _UNSCALED_CAUTION:
+            warnings.warn(
+                f"{family.kind} expansion with sigma*lambda_max = {product:.3g} "
+                "grows before it decays; expect slow or failing convergence",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+    return family
 
 
 def apply_expansion(op, coeffs, f):

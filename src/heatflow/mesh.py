@@ -279,32 +279,47 @@ def _parse_off(fh, path):
         raise ValueError(f"{path}: empty OFF file") from None
     if tok[0].upper() != "OFF":
         raise ValueError(f"{path}:{lineno}: expected OFF header, got {tok[0]!r}")
+
+    def truncated(expected):
+        return ValueError(
+            f"{path}: truncated OFF file: expected {expected}; last line read was line {lineno}"
+        )
+
     if len(tok) >= 4:
         counts = tok[1:4]
     else:
-        lineno, counts = next(stream)
+        try:
+            lineno, counts = next(stream)
+        except StopIteration:
+            raise truncated("a vertex/face count line") from None
     try:
         nv, nf = int(counts[0]), int(counts[1])
     except (ValueError, IndexError):
         raise ValueError(f"{path}:{lineno}: malformed OFF count line") from None
     verts = np.empty((nv, 3))
-    for i in range(nv):
-        lineno, tok = next(stream)
-        try:
-            verts[i] = [float(t) for t in tok[:3]]
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: bad vertex line") from None
+    try:
+        for i in range(nv):
+            lineno, tok = next(stream)
+            try:
+                verts[i] = [float(t) for t in tok[:3]]
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: bad vertex line") from None
+    except StopIteration:
+        raise truncated(f"{nv} vertices, found {i}") from None
     faces = np.empty((nf, 3), dtype=np.int64)
-    for i in range(nf):
-        lineno, tok = next(stream)
-        try:
-            cnt = int(tok[0])
-            idx = [int(t) for t in tok[1 : 1 + cnt]]
-        except (ValueError, IndexError):
-            raise ValueError(f"{path}:{lineno}: bad face line") from None
-        if cnt != 3 or len(idx) != 3:
-            raise ValueError(f"{path}:{lineno}: only triangular faces supported")
-        faces[i] = idx
+    try:
+        for i in range(nf):
+            lineno, tok = next(stream)
+            try:
+                cnt = int(tok[0])
+                idx = [int(t) for t in tok[1 : 1 + cnt]]
+            except (ValueError, IndexError):
+                raise ValueError(f"{path}:{lineno}: bad face line") from None
+            if cnt != 3 or len(idx) != 3:
+                raise ValueError(f"{path}:{lineno}: only triangular faces supported")
+            faces[i] = idx
+    except StopIteration:
+        raise truncated(f"{nf} faces, found {i}") from None
     return verts, faces
 
 

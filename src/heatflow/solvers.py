@@ -7,24 +7,15 @@ reference solvers used for benchmarking and as oracles, and
 cosine_diffusion_1d is an independent 1D oracle for the expansion machinery.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .expansion import (
-    PolynomialFamily,
-    apply_expansion,
-    estimate_lambda_max,
-    heat_coefficients,
-)
+from .expansion import apply_expansion, estimate_lambda_max, heat_coefficients, resolve_family
 from .mesh import apply_lb
 
 _DENSE_EIGEN_LIMIT = 5000
-# Hermite/Laguerre terms grow before they decay once sigma*lambda_max is
-# large; warn past this product.
-_UNSCALED_CAUTION = 30.0
 
 
 @dataclass(frozen=True)
@@ -56,24 +47,6 @@ def _check_field(op, f):
     return f
 
 
-def _resolve_family(op, family, sigma):
-    if family is None:
-        family = PolynomialFamily.chebyshev()
-    if family.scaled and family.b is None:
-        b = estimate_lambda_max(op)
-        family = family.with_b(b if b > 0 else 1.0)
-    if not family.scaled and sigma > 0:
-        product = estimate_lambda_max(op) * sigma
-        if product > _UNSCALED_CAUTION:
-            warnings.warn(
-                f"{family.kind} expansion with sigma*lambda_max = {product:.3g} "
-                "grows before it decays; expect slow or failing convergence",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-    return family
-
-
 def heat_smooth(op, f, sigma, family=None, m=1000):
     """Heat kernel convolution of f at diffusion time sigma.
 
@@ -85,7 +58,7 @@ def heat_smooth(op, f, sigma, family=None, m=1000):
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     if sigma == 0.0:
         return f.copy()
-    family = _resolve_family(op, family, sigma)
+    family = resolve_family(op, family, sigma)
     coeffs = heat_coefficients(family, sigma, m)
     return apply_expansion(op, coeffs, f)
 
@@ -102,7 +75,7 @@ def iterative_smooth(op, f, sigma_step, k, family=None, m=1000):
     k = int(k)
     if k < 1:
         raise ValueError(f"step count must be >= 1, got {k}")
-    family = _resolve_family(op, family, sigma_step)
+    family = resolve_family(op, family, sigma_step)
     coeffs = heat_coefficients(family, sigma_step, m)
     out = []
     cur = f

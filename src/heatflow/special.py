@@ -1,8 +1,10 @@
 """Scalar special functions used by the expansion coefficients and the stats p-values.
 
-Only what the toolkit needs: exponentially scaled modified Bessel functions
-I_n, the confluent hypergeometric function 1F1, log-gamma and the regularized
-incomplete beta function. No general special-function coverage.
+Only what the toolkit needs: the confluent hypergeometric function 1F1,
+summed in log space for the Jacobi coefficients, and checked wrappers for
+log-gamma and the regularized incomplete beta function. The Bessel factor of
+the Chebyshev coefficients comes straight from scipy.special.ive. No general
+special-function coverage.
 """
 
 import math
@@ -15,63 +17,6 @@ from scipy import special as _sp
 _SERIES_EPS = 1e-16
 _SERIES_RUN = 3
 _MAX_TERMS = 200000
-
-
-def scaled_bessel_i(n_max, x):
-    """Exponentially scaled modified Bessel functions e^(-x) * I_n(x), n = 0..n_max.
-
-    Computed with a Miller-type backward recurrence normalized by the
-    generating-function sum e^x = I_0 + 2*sum_n I_n, so the scaled values are
-    formed directly and stay finite for any x >= 0.
-
-    Parameters
-    ----------
-    n_max : int
-        Largest order, >= 0.
-    x : float
-        Argument, >= 0.
-
-    Returns
-    -------
-    np.ndarray
-        Array of length n_max + 1 with entry n equal to e^(-x) I_n(x).
-    """
-    n_max = int(n_max)
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
-    x = float(x)
-    if not x >= 0.0:
-        raise ValueError(f"x must be >= 0, got {x}")
-    if x < 1e-300:
-        out = np.zeros(n_max + 1)
-        out[0] = 1.0
-        return out
-
-    # Start above both the requested order and the I_n turning point n ~ x;
-    # past the turning point one downward step gains several digits, so the
-    # margin needs to grow with x only.
-    start = max(n_max, math.ceil(x)) + int(15.0 * math.sqrt(x)) + 10
-    out = [0.0] * (n_max + 1)
-    y_up = 0.0  # y_{n+1}
-    y = 1.0  # y_n, proportional to I_n(x)
-    norm = 0.0  # accumulates y_0 + 2*sum_{n>=1} y_n
-    two_over_x = 2.0 / x
-    for n in range(start, -1, -1):
-        if n <= n_max:
-            out[n] = y
-        norm += y + y if n > 0 else y
-        y_dn = y_up + (two_over_x * n) * y
-        y_up = y
-        y = y_dn
-        if y > 1e250:
-            y_up *= 1e-250
-            y *= 1e-250
-            norm *= 1e-250
-            for k in range(n, n_max + 1):
-                out[k] *= 1e-250
-    result = np.asarray(out)
-    result /= norm
-    return result
 
 
 def _kummer_series(a, b, z):

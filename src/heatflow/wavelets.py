@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .expansion import PolynomialFamily, apply_expansion, estimate_lambda_max, numeric_coefficients
+from .expansion import apply_expansion, numeric_coefficients, resolve_family
 from .fields import FieldStack
 
 _DRIFT_TOL = 1e-10
@@ -107,9 +107,7 @@ def wavelet_transform(op, f, kernel, m=300):
     bound; coefficients are computed numerically (no closed form exists).
     """
     f = np.asarray(f, dtype=float)
-    b = estimate_lambda_max(op)
-    family = PolynomialFamily.chebyshev(b=b if b > 0 else 1.0)
-    coeffs = kernel_coefficients(kernel, family, m)
+    coeffs = kernel_coefficients(kernel, resolve_family(op), m)
     return apply_expansion(op, coeffs, f)
 
 

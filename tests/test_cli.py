@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 
@@ -74,14 +75,41 @@ class TestSmoothCommand:
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_thread_cap_env_var(self, sphere_fixture, tmp_path, monkeypatch):
-        monkeypatch.setenv("HEATFLOW_THREADS", "1")
         _, _, mesh_path, signal_path, _ = sphere_fixture
         out = tmp_path / "capped.csv"
-        assert main([
+        argv = [
             "smooth", "--mesh", str(mesh_path), "--signal", str(signal_path),
             "--sigma", "0.01", "--degree", "40", "--out", str(out),
-        ]) == 0
+        ]
+        monkeypatch.setenv("HEATFLOW_THREADS", "1")
+        if importlib.util.find_spec("threadpoolctl") is None:
+            with pytest.warns(RuntimeWarning, match="threadpoolctl is not installed"):
+                assert main(argv) == 0
+        else:
+            assert main(argv) == 0
         assert out.exists()
+        monkeypatch.setenv("HEATFLOW_THREADS", "abc")
+        with pytest.warns(RuntimeWarning, match="'abc' is not a positive integer"):
+            assert main(argv) == 0
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--sigma", "-1"), ("--sigma", "nan"), ("--steps", "0"), ("--steps", "-2")],
+    )
+    def test_bad_sigma_or_steps_rejected_before_mesh_load(
+        self, sphere_fixture, tmp_path, capsys, flag, value
+    ):
+        # the mesh path does not exist, so a flag error proves the check ran
+        # first; argparse keeps the last --sigma given
+        _, _, _, signal_path, _ = sphere_fixture
+        code = main([
+            "smooth", "--mesh", str(tmp_path / "none.off"), "--signal", str(signal_path),
+            "--sigma", "0.1", flag, value, "--out", str(tmp_path / "x.csv"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: {flag} must be" in err
+        assert value in err
 
     def test_bad_mesh_path_exits_1(self, sphere_fixture, tmp_path):
         _, _, _, signal_path, _ = sphere_fixture

@@ -179,6 +179,18 @@ class TestNumericCoefficients:
         ).coeffs
         assert np.abs(closed - num).max() <= 1e-8 * np.abs(closed).max()
 
+    def test_chebyshev_matches_explicit_cosine_sum(self):
+        # pins the DCT normalization and the node order: the weight is not
+        # symmetric about b/2, so reversed nodes would change every c_n
+        b, m, K = 6.0, 7, 20
+        weight = lambda lam: np.exp(-0.3 * lam) * (1.0 + np.sin(lam))
+        theta = (2.0 * np.arange(1, K + 1) - 1.0) * math.pi / (2.0 * K)
+        W = weight(0.5 * b * (np.cos(theta) + 1.0))
+        want = np.array([(2.0 / K) * np.sum(W * np.cos(n * theta)) for n in range(m + 1)])
+        want[0] *= 0.5
+        got = numeric_coefficients(weight, PolynomialFamily.chebyshev(b=b), m, nodes=K).coeffs
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
     def test_hermite_rejected(self):
         with pytest.raises(ValueError, match="chebyshev/jacobi"):
             numeric_coefficients(lambda lam: lam, PolynomialFamily.hermite(), 5)

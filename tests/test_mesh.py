@@ -83,6 +83,24 @@ class TestLoadMesh:
         with pytest.raises(ValueError, match=":4"):
             load_mesh(p)
 
+    @pytest.mark.parametrize(
+        "text, expected, last_line",
+        [
+            ("OFF\n# counts lost\n", "a vertex/face count line", 1),
+            ("OFF\n3 1 0\n0 0 0\n1 0 0\n", "3 vertices, found 2", 4),
+            ("OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n\n", "2 faces, found 1", 6),
+        ],
+    )
+    def test_truncated_off_names_count_and_line(self, tmp_path, text, expected, last_line):
+        p = tmp_path / "short.off"
+        p.write_text(text)
+        with pytest.raises(ValueError) as err:
+            load_mesh(p)
+        msg = str(err.value)
+        assert str(p) in msg
+        assert f"expected {expected}" in msg
+        assert msg.endswith(f"last line read was line {last_line}")
+
     def test_isolated_vertex_rejected(self, tmp_path):
         p = tmp_path / "iso.off"
         p.write_text("OFF\n4 1 0\n0 0 0\n1 0 0\n0 1 0\n5 5 5\n3 0 1 2\n")

@@ -6,12 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heatflow.special import (
-    kummer_1f1,
-    log_gamma,
-    regularized_incomplete_beta,
-    scaled_bessel_i,
-)
+from heatflow.expansion import chebyshev_coefficients
+from heatflow.special import kummer_1f1, log_gamma, regularized_incomplete_beta
 
 mp.mp.dps = 40
 
@@ -28,18 +24,32 @@ def bessel_series_oracle(n, x):
     return float(mp.exp(-x) * total)
 
 
+def bessel_factor(n_max, x):
+    """e^-x I_n(x) for n = 0..n_max, recovered from the Chebyshev heat coefficients.
+
+    At b = 2 the coefficients are (2 - delta_n0)(-1)^n e^-sigma I_n(sigma), so
+    sigma = x isolates the Bessel factor; the division by +-2 is exact.
+    """
+    c = chebyshev_coefficients(x, 2.0, n_max).coeffs
+    out = c * np.where(np.arange(n_max + 1) % 2 == 0, 0.5, -0.5)
+    out[0] = c[0]
+    return out
+
+
 class TestScaledBesselI:
+    """The Bessel factor e^-x I_n(x) of the Chebyshev heat coefficients."""
+
     def test_x_zero(self):
-        np.testing.assert_array_equal(scaled_bessel_i(2, 0.0), [1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(bessel_factor(2, 0.0), [1.0, 0.0, 0.0])
 
     def test_order_zero_at_one(self):
         # e^-1 I_0(1), frozen from the mpmath series oracle
-        got = scaled_bessel_i(0, 1.0)
+        got = bessel_factor(0, 1.0)
         assert got.shape == (1,)
         assert got[0] == pytest.approx(0.4657596075936404, rel=1e-12)
 
     def test_large_argument_finite_and_asymptotic(self):
-        vals = scaled_bessel_i(50, 500.0)
+        vals = bessel_factor(50, 500.0)
         assert np.all(np.isfinite(vals))
         # entry 0 approaches (2 pi x)^(-1/2); oracle value e^-500 I_0(500)
         assert vals[0] == pytest.approx(1.0 / math.sqrt(2 * math.pi * 500), rel=1e-2)
@@ -47,7 +57,7 @@ class TestScaledBesselI:
 
     @pytest.mark.parametrize("x", [0.1, 1.0, 10.0, 100.0])
     def test_against_series_oracle(self, x):
-        vals = scaled_bessel_i(30, x)
+        vals = bessel_factor(30, x)
         for n in range(31):
             want = bessel_series_oracle(n, x)
             assert vals[n] == pytest.approx(want, rel=1e-10, abs=1e-300)
@@ -55,20 +65,27 @@ class TestScaledBesselI:
     @pytest.mark.parametrize("x", [0.5, 3.0, 25.0, 120.0])
     def test_generating_function_sum(self, x):
         n_max = int(x) + 40
-        vals = scaled_bessel_i(n_max, x)
+        vals = bessel_factor(n_max, x)
         total = vals[0] + 2.0 * vals[1:].sum()
         assert total == pytest.approx(1.0, abs=1e-10)
 
+    def test_degree_1000_against_mpmath(self):
+        x = 700.0
+        vals = bessel_factor(1000, x)
+        for n in range(1001):
+            want = float(mp.besseli(n, x) * mp.exp(-x))
+            assert vals[n] == pytest.approx(want, rel=1e-10, abs=1e-300)
+
     def test_nonnegative_nonincreasing(self):
-        vals = scaled_bessel_i(40, 7.5)
+        vals = bessel_factor(40, 7.5)
         assert np.all(vals >= 0)
         assert np.all(np.diff(vals) <= 1e-300)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            scaled_bessel_i(-1, 1.0)
+            bessel_factor(-1, 1.0)
         with pytest.raises(ValueError):
-            scaled_bessel_i(3, -0.5)
+            bessel_factor(3, -0.5)
 
 
 class TestKummer1F1:
