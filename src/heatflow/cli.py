@@ -69,9 +69,12 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _echo_config(args, out_path):
+def _echo_config(args, out_path, resolved=None):
     flags = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
-    _write_json(str(out_path) + ".config.json", {"command": args.command, "flags": flags})
+    payload = {"command": args.command, "flags": flags}
+    if resolved is not None:
+        payload["resolved"] = resolved
+    _write_json(str(out_path) + ".config.json", payload)
 
 
 def _family_from_args(args, kind):
@@ -85,6 +88,8 @@ def _cmd_smooth(args):
         raise ValueError(f"--sigma must be a finite number >= 0, got {args.sigma}")
     if args.steps < 1:
         raise ValueError(f"--steps must be >= 1, got {args.steps}")
+    if args.degree is not None and args.degree < 0:
+        raise ValueError(f"--degree must be >= 0, got {args.degree}")
     t0 = time.perf_counter()
     mesh = load_mesh(args.mesh)
     op = assemble_lb_operator(mesh)
@@ -100,6 +105,7 @@ def _cmd_smooth(args):
     t1 = time.perf_counter()
     coeffs = heat_coefficients(family, args.sigma, args.degree) if args.sigma > 0 else None
     t_coeffs = time.perf_counter() - t1
+    degree = coeffs.degree if coeffs is not None else 0
 
     t2 = time.perf_counter()
     if args.sigma == 0:
@@ -117,7 +123,7 @@ def _cmd_smooth(args):
     else:
         sigmas = [repr((i + 1) * args.sigma) for i in range(args.steps)]
         write_stack_csv(args.out, FieldStack(np.column_stack(fields), sigmas, "scales"))
-    _echo_config(args, args.out)
+    _echo_config(args, args.out, {"b": family.b, "degree": degree})
     timing = {
         "assembly_seconds": t_assembly,
         "coefficients_seconds": t_coeffs,
@@ -126,7 +132,7 @@ def _cmd_smooth(args):
     }
     _write_json(str(args.out) + ".timing.json", timing)
     print(
-        f"smooth: N={mesh.n_vertices} sigma={args.sigma} steps={args.steps} "
+        f"smooth: N={mesh.n_vertices} sigma={args.sigma} steps={args.steps} degree={degree} "
         f"assembly={t_assembly:.3f}s coefficients={t_coeffs:.6f}s "
         f"recurrence={t_recur:.3f}s"
     )
@@ -313,7 +319,8 @@ def build_parser():
                    choices=["chebyshev", "jacobi", "hermite", "laguerre"])
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--degree", type=int, default=1000)
+    p.add_argument("--degree", type=int, default=None,
+                   help="expansion degree; default: chosen from the coefficient tail")
     p.add_argument("--steps", type=int, default=1, help="iterative convolution count")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_smooth)

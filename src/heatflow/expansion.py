@@ -23,6 +23,14 @@ _NAN_CHECK_EVERY = 64
 # Hermite/Laguerre terms grow before they decay once sigma*lambda_max is
 # large; warn past this product.
 _UNSCALED_CAUTION = 30.0
+# m=None in the scaled families: the smallest m whose weighted coefficient
+# tail is at most this fraction of the weighted sum, so that further degrees
+# change nothing in double precision.
+_TAIL_REL = 1e-16
+_FIRST_BLOCK = 32
+# m=None in the unscaled families, whose polynomials are unbounded on the
+# spectrum and so give no tail bound.
+_UNSCALED_DEGREE = 1000
 
 
 @dataclass(frozen=True)
@@ -140,47 +148,112 @@ def recurrence_params(family, n):
 
 
 def _check_sigma_degree(sigma, m):
-    if not sigma >= 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
-    if m < 0:
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be a finite number >= 0, got {sigma}")
+    if m is not None and m < 0:
         raise ValueError(f"degree must be >= 0, got {m}")
 
 
-def chebyshev_coefficients(sigma, b, m):
-    """Heat-weight Chebyshev coefficients (2 - delta_n0)(-1)^n e^(-b*sigma/2) I_n(b*sigma/2)."""
+def _chop(block, weight=None):
+    """c_0..c_m of the shortest expansion whose weighted tail is negligible.
+
+    block(lo, hi) gives c_n for lo <= n < hi and weight(n) the bound M_n on
+    |P_n| over [-1, 1] (1 when None). m is the smallest degree with
+    sum_{n>m} |c_n| M_n <= _TAIL_REL * sum_n |c_n| M_n over the whole infinite
+    series: blocks double until the geometric series with the ratio of the
+    last two weighted terms, which bounds everything past them, is small
+    enough to decide m. That bound is rigorous when the ratios decrease, as
+    I_{n+1}(x)/I_n(x) does for the Chebyshev heat coefficients.
+    """
+    c = block(0, _FIRST_BLOCK)
+    while True:
+        t = np.abs(c) if weight is None else np.abs(c) * weight(np.arange(c.size))
+        if not np.all(np.isfinite(t)):
+            raise ValueError("coefficients must be finite")
+        last, prev = t[-1], t[-2]
+        if last == 0.0:
+            rest = 0.0
+        elif last < prev:
+            rest = last * last / (prev - last)  # sum_{k>=1} last * (last/prev)^k
+        else:
+            rest = math.inf
+        after = np.append(np.cumsum(t[:0:-1])[::-1], 0.0)  # after[j] = sum_{j<n<K} t_n
+        known = t.sum()
+        met = np.flatnonzero(after + rest <= _TAIL_REL * known)
+        # m is decided once the tail at m - 1 exceeds the bound even without
+        # the unknown rest
+        if met.size and (met[0] == 0 or after[met[0] - 1] > _TAIL_REL * (known + rest)):
+            return c[: met[0] + 1]
+        c = np.concatenate([c, block(c.size, 2 * c.size)])
+
+
+def chebyshev_coefficients(sigma, b, m=None):
+    """Heat-weight Chebyshev coefficients (2 - delta_n0)(-1)^n e^(-b*sigma/2) I_n(b*sigma/2).
+
+    They sum to 1 in absolute value. m=None stops at the smallest degree whose
+    tail sum_{n>m} |c_n| is at most 1e-16 (see heat_coefficients).
+    """
     _check_sigma_degree(sigma, m)
     if not b > 0:
         raise ValueError(f"b must be positive, got {b}")
-    n = np.arange(m + 1)
-    c = np.where(n % 2 == 0, 2.0, -2.0) * _sp.ive(n, 0.5 * b * sigma)
-    c[0] *= 0.5
+    x = 0.5 * b * sigma
+
+    def block(lo, hi):
+        n = np.arange(lo, hi)
+        c = np.where(n % 2 == 0, 2.0, -2.0) * _sp.ive(n, x)
+        if lo == 0:
+            c[0] *= 0.5
+        return c
+
+    c = _chop(block) if m is None else block(0, m + 1)
     return ExpansionCoefficients(PolynomialFamily.chebyshev(b=float(b)), float(sigma), c)
 
 
-def jacobi_coefficients(sigma, b, alpha, beta, m):
+def _jacobi_max_abs(alpha, beta, n):
+    """M_n = binom(n + max(alpha, beta, -1/2), n), the bound on |P_n^(alpha,beta)| over [-1, 1].
+
+    It is the maximum when max(alpha, beta) >= -1/2 (Szego, Thm 7.32.1).
+    """
+    q = max(alpha, beta, -0.5)
+    n = np.asarray(n, dtype=float)
+    return np.exp(_sp.gammaln(n + q + 1.0) - _sp.gammaln(n + 1.0) - _sp.gammaln(q + 1.0))
+
+
+def jacobi_coefficients(sigma, b, alpha, beta, m=None):
     """Heat-weight Jacobi coefficients.
 
     c_n = Gamma(a+b+n+1)/Gamma(a+b+2n+1) * (-b*sigma)^n
           * 1F1(beta+n+1; alpha+beta+2n+2; -b*sigma),
     with the n = 0 gamma ratio fixed to 1. Assembled in log space so large
-    b*sigma neither overflows nor cancels.
+    b*sigma neither overflows nor cancels. m=None stops the Kummer series
+    loop at the smallest degree whose tail sum_{n>m} |c_n| M_n is at most
+    1e-16 of the whole sum, with M_n from _jacobi_max_abs.
     """
     _check_sigma_degree(sigma, m)
     family = PolynomialFamily.jacobi(alpha, beta, b=float(b))
-    c = np.zeros(m + 1)
     if sigma == 0.0:
+        c = np.zeros(1 if m is None else m + 1)
         c[0] = 1.0
         return ExpansionCoefficients(family, 0.0, c)
     bs = float(b) * float(sigma)
     log_bs = math.log(bs)
     s = alpha + beta
-    for n in range(m + 1):
-        log_ratio = 0.0 if n == 0 else log_gamma(s + n + 1.0) - log_gamma(s + 2.0 * n + 1.0)
-        sign_f, log_f = kummer_1f1_log(beta + n + 1.0, s + 2.0 * n + 2.0, -bs)
-        log_mag = log_ratio + n * log_bs + log_f
-        if log_mag < -745.0:
-            continue  # underflows to zero; the tail is negligible by then
-        c[n] = (1.0 if n % 2 == 0 else -1.0) * sign_f * math.exp(log_mag)
+
+    def block(lo, hi):
+        c = np.zeros(hi - lo)
+        for n in range(lo, hi):
+            log_ratio = 0.0 if n == 0 else log_gamma(s + n + 1.0) - log_gamma(s + 2.0 * n + 1.0)
+            sign_f, log_f = kummer_1f1_log(beta + n + 1.0, s + 2.0 * n + 2.0, -bs)
+            log_mag = log_ratio + n * log_bs + log_f
+            if log_mag < -745.0:
+                continue  # underflows to zero; the tail is negligible by then
+            c[n - lo] = (1.0 if n % 2 == 0 else -1.0) * sign_f * math.exp(log_mag)
+        return c
+
+    if m is None:
+        c = _chop(block, lambda n: _jacobi_max_abs(alpha, beta, n))
+    else:
+        c = block(0, m + 1)
     return ExpansionCoefficients(family, float(sigma), c)
 
 
@@ -218,8 +291,18 @@ def laguerre_coefficients(sigma, m):
     return ExpansionCoefficients(PolynomialFamily.laguerre(), float(sigma), c)
 
 
-def heat_coefficients(family, sigma, m):
-    """Closed-form heat-weight coefficients for any family (b required if scaled)."""
+def heat_coefficients(family, sigma, m=None):
+    """Closed-form heat-weight coefficients for any family (b required if scaled).
+
+    An explicit m gives exactly m + 1 coefficients. m=None picks the degree
+    from the coefficient tail in the scaled families: the smallest m with
+    sum_{n>m} |c_n| M_n <= 1e-16 * sum_n |c_n| M_n, where M_n bounds |P_n|
+    on [-1, 1] (1 for Chebyshev; see _jacobi_max_abs). The tail bounds
+    the truncation error of the heat weight on [0, b]; for Chebyshev
+    sum_n |c_n| = 1, so that error is at most 1e-16. Hermite and Laguerre are
+    unbounded on the spectrum: there m=None means degree 1000 and no bound is
+    claimed.
+    """
     if family.kind == "chebyshev":
         if family.b is None:
             raise ValueError("chebyshev heat coefficients need the domain scale b")
@@ -228,6 +311,7 @@ def heat_coefficients(family, sigma, m):
         if family.b is None:
             raise ValueError("jacobi heat coefficients need the domain scale b")
         return jacobi_coefficients(sigma, family.b, family.alpha, family.beta, m)
+    m = _UNSCALED_DEGREE if m is None else m
     if family.kind == "hermite":
         return hermite_coefficients(sigma, m)
     return laguerre_coefficients(sigma, m)
@@ -329,12 +413,16 @@ def evaluate_expansion(coeffs, lam):
 
 
 def estimate_lambda_max(op):
-    """Upper bound on the largest eigenvalue of Delta = A^-1 C.
+    """Estimate of the largest eigenvalue of Delta = A^-1 C.
 
     Block power iteration on the symmetrized A^-1/2 C A^-1/2 (a small
     orthonormalized subspace survives clustered top eigenvalues that stall a
-    single power vector), run to a relative Ritz-value tolerance and then
-    multiplied by a 1.01 safety factor. The result is cached on the operator.
+    single power vector), run to a relative Ritz-value tolerance; the result
+    is the top Ritz value times a 1.01 safety factor, which is not certified
+    to bound the spectrum. The tail bounds of heat_coefficients hold on
+    [0, b] only, so they hold for the operator only when this b does; a
+    certified bound (Gershgorin's, say) is not computed. The result is cached
+    on the operator.
     """
     if op.lambda_max_hint is not None:
         return op.lambda_max_hint

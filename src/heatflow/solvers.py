@@ -7,6 +7,7 @@ reference solvers used for benchmarking and as oracles, and
 cosine_diffusion_1d is an independent 1D oracle for the expansion machinery.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,15 +48,20 @@ def _check_field(op, f):
     return f
 
 
-def heat_smooth(op, f, sigma, family=None, m=1000):
+def heat_smooth(op, f, sigma, family=None, m=None):
     """Heat kernel convolution of f at diffusion time sigma.
 
-    family defaults to Chebyshev with b auto-set to the spectral bound of
-    the operator. sigma = 0 returns a copy of f.
+    family defaults to Chebyshev with b auto-set to estimate_lambda_max of
+    the operator. m=None picks the degree from the coefficient tail (see
+    expansion.heat_coefficients): for Chebyshev, the smallest m whose tail
+    sum_{n>m} |c_n| is at most 1e-16, a bound on the truncation error of the
+    heat weight over [0, b]. Hermite and Laguerre fall back to degree 1000
+    with no bound. An explicit m runs exactly m degrees. sigma = 0 returns a
+    copy of f.
     """
     f = _check_field(op, f)
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be a finite number >= 0, got {sigma}")
     if sigma == 0.0:
         return f.copy()
     family = resolve_family(op, family, sigma)
@@ -63,15 +69,16 @@ def heat_smooth(op, f, sigma, family=None, m=1000):
     return apply_expansion(op, coeffs, f)
 
 
-def iterative_smooth(op, f, sigma_step, k, family=None, m=1000):
+def iterative_smooth(op, f, sigma_step, k, family=None, m=None):
     """k repeated convolutions with step sigma_step (semigroup property).
 
-    The expansion coefficients are computed once and reused for every step.
-    Returns the list of k fields after 1, 2, ..., k steps.
+    The expansion coefficients are computed once, with the degree rule of
+    heat_smooth, and reused for every step. Returns the list of k fields after
+    1, 2, ..., k steps.
     """
     f = _check_field(op, f)
-    if not sigma_step > 0:
-        raise ValueError(f"sigma_step must be positive, got {sigma_step}")
+    if not (math.isfinite(sigma_step) and sigma_step > 0):
+        raise ValueError(f"sigma_step must be a finite number > 0, got {sigma_step}")
     k = int(k)
     if k < 1:
         raise ValueError(f"step count must be >= 1, got {k}")
@@ -83,6 +90,7 @@ def iterative_smooth(op, f, sigma_step, k, family=None, m=1000):
         cur = apply_expansion(op, coeffs, cur)
         out.append(cur)
     return out
+
 
 def fem_euler_smooth(op, f, sigma, n_iter):
     """Reference solver: explicit forward Euler g <- (I - delta Delta)^n f.

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from heatflow.cli import main
+from heatflow.expansion import PolynomialFamily, estimate_lambda_max, heat_coefficients
 from heatflow.fields import read_field_csv, read_stack_csv, write_field_csv, write_stack_csv, FieldStack
-from heatflow.mesh import save_off
+from heatflow.mesh import assemble_lb_operator, save_off
+from heatflow.solvers import heat_smooth
 from heatflow.sphere import icosphere
 
 
@@ -25,7 +27,7 @@ def sphere_fixture(tmp_path_factory):
 
 
 class TestSmoothCommand:
-    def test_writes_field_and_sidecars(self, sphere_fixture, tmp_path):
+    def test_writes_field_and_sidecars(self, sphere_fixture, tmp_path, capsys):
         root, mesh, mesh_path, signal_path, _ = sphere_fixture
         out = tmp_path / "g.csv"
         code = main([
@@ -35,7 +37,9 @@ class TestSmoothCommand:
         assert code == 0
         g = read_field_csv(out)
         assert g.size == mesh.n_vertices
-        assert (tmp_path / "g.csv.config.json").exists()
+        config = json.loads((tmp_path / "g.csv.config.json").read_text())
+        assert config["resolved"]["degree"] == 80
+        assert " degree=80 " in capsys.readouterr().out
         timing = json.loads((tmp_path / "g.csv.timing.json").read_text())
         phases = (
             timing["assembly_seconds"]
@@ -94,7 +98,10 @@ class TestSmoothCommand:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--sigma", "-1"), ("--sigma", "nan"), ("--steps", "0"), ("--steps", "-2")],
+        [
+            ("--sigma", "-1"), ("--sigma", "nan"), ("--steps", "0"), ("--steps", "-2"),
+            ("--degree", "-3"),
+        ],
     )
     def test_bad_sigma_or_steps_rejected_before_mesh_load(
         self, sphere_fixture, tmp_path, capsys, flag, value
@@ -110,6 +117,23 @@ class TestSmoothCommand:
         err = capsys.readouterr().err
         assert f"error: {flag} must be" in err
         assert value in err
+
+    def test_default_degree_from_coefficient_tail(self, sphere_fixture, tmp_path, capsys):
+        _, mesh, mesh_path, signal_path, signal = sphere_fixture
+        out = tmp_path / "auto.csv"
+        assert main([
+            "smooth", "--mesh", str(mesh_path), "--signal", str(signal_path),
+            "--sigma", "0.01", "--out", str(out),
+        ]) == 0
+        config = json.loads((tmp_path / "auto.csv.config.json").read_text())
+        assert config["flags"]["degree"] is None
+        resolved = config["resolved"]
+        op = assemble_lb_operator(mesh)
+        assert resolved["b"] == estimate_lambda_max(op)
+        want = heat_coefficients(PolynomialFamily.chebyshev(b=resolved["b"]), 0.01)
+        assert resolved["degree"] == want.degree < 1000
+        assert f" degree={want.degree} " in capsys.readouterr().out
+        np.testing.assert_allclose(read_field_csv(out), heat_smooth(op, signal, 0.01), atol=1e-14)
 
     def test_bad_mesh_path_exits_1(self, sphere_fixture, tmp_path):
         _, _, _, signal_path, _ = sphere_fixture

@@ -23,6 +23,7 @@ from heatflow.expansion import (
     recurrence_params,
 )
 from heatflow.mesh import assemble_lb_operator
+from heatflow.solvers import heat_smooth
 
 from conftest import make_grid_mesh
 
@@ -298,3 +299,104 @@ class TestJsonRoundTrip:
         np.testing.assert_allclose(c.coeffs, laguerre_coefficients(0.5, 8).coeffs)
         with pytest.raises(ValueError, match="domain scale"):
             heat_coefficients(PolynomialFamily.chebyshev(), 0.5, 8)
+
+
+def _weighted_tail(c, weight):
+    """(tail, total): tail[j] = sum_{n>j} |c_n| M_n and total = sum_n |c_n| M_n."""
+    t = np.abs(c) * weight
+    tail = np.append(np.cumsum(t[:0:-1])[::-1], 0.0)
+    return tail, t.sum()
+
+
+class TestTailDegree:
+    FAMILIES = [
+        PolynomialFamily.chebyshev(),
+        PolynomialFamily.jacobi(0.0, 0.0),
+        PolynomialFamily.jacobi(-0.7, 0.5),
+        PolynomialFamily.jacobi(2.0, 1.0),
+    ]
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f"{f.kind}-{f.alpha}-{f.beta}")
+    def test_default_degree_matches_degree_1000(self, family):
+        op = assemble_lb_operator(make_grid_mesh(10, 20, bump=0.2))
+        f = np.random.default_rng(3).standard_normal(op.n_vertices)
+        for sigma in (0.01, 0.3):
+            got = heat_smooth(op, f, sigma, family=family)
+            want = heat_smooth(op, f, sigma, family=family, m=1000)
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(f).max()
+
+    @pytest.mark.parametrize(
+        "family,x",
+        # at x = 14623.624212405126 the geometric bound on the rest alone
+        # would pick one degree too many
+        [
+            (PolynomialFamily.chebyshev(), x)
+            for x in (1e-3, 1.0, 30.0, 1e3, 14623.624212405126, 1e5)
+        ]
+        # the Kummer series of the Jacobi coefficients is slow at large b*sigma
+        + [
+            (fam, x)
+            for fam in FAMILIES[1:] + [PolynomialFamily.jacobi(-0.9, -0.8)]
+            for x in (1e-3, 1.0, 30.0, 200.0)
+        ]
+        # weighted terms still rising at the end of the first block
+        + [(PolynomialFamily.jacobi(2.0, 1.0), 500.0)],
+        ids=lambda v: f"{v.kind}-{v.alpha}-{v.beta}" if isinstance(v, PolynomialFamily) else None,
+    )
+    def test_chosen_degree_is_minimal(self, family, x):
+        fam = family.with_b(4.0)
+        sigma = 2.0 * x / fam.b
+        chosen = heat_coefficients(fam, sigma)
+        m = chosen.degree
+        full = heat_coefficients(fam, sigma, 2 * m + 64).coeffs
+        np.testing.assert_array_equal(chosen.coeffs, full[: m + 1])
+        n = np.arange(full.size)
+        weight = ex._jacobi_max_abs(fam.alpha, fam.beta, n) if fam.kind == "jacobi" else 1.0
+        tail, total = _weighted_tail(full, weight)
+        assert tail[m] <= ex._TAIL_REL * total
+        assert m >= 1 and tail[m - 1] > ex._TAIL_REL * total
+
+    def test_chebyshev_degrees_and_unit_sum(self):
+        for x, m in [(1e-3, 4), (1.0, 14), (1e3, 263), (1e5, 2626)]:
+            c = chebyshev_coefficients(2.0 * x, 1.0).coeffs
+            assert c.size == m + 1
+            assert np.abs(c).sum() == pytest.approx(1.0, abs=1e-13)
+
+    def test_sigma_zero_gives_degree_zero(self):
+        for fam in (PolynomialFamily.chebyshev(b=3.0), PolynomialFamily.jacobi(0.5, 0.5, b=3.0)):
+            np.testing.assert_array_equal(heat_coefficients(fam, 0.0).coeffs, [1.0])
+
+    @pytest.mark.parametrize("m", [0, 3, 500])
+    def test_explicit_degree_is_exact(self, m):
+        for fam in (
+            PolynomialFamily.chebyshev(b=10.0),
+            PolynomialFamily.jacobi(0.4, -0.3, b=10.0),
+            PolynomialFamily.hermite(),
+            PolynomialFamily.laguerre(),
+        ):
+            for sigma in (0.01, 5.0):
+                assert heat_coefficients(fam, sigma, m).coeffs.size == m + 1
+
+    def test_unscaled_families_default_to_degree_1000(self):
+        for fam in (PolynomialFamily.hermite(), PolynomialFamily.laguerre()):
+            assert heat_coefficients(fam, 0.5).coeffs.size == 1001
+
+    @pytest.mark.parametrize(
+        "alpha,beta", [(0.0, 0.0), (-0.7, 0.5), (2.0, 1.0), (1.5, -0.99), (-0.7, -0.8)]
+    )
+    def test_jacobi_weight_is_the_dense_maximum(self, alpha, beta):
+        # attained at an end point when max(alpha, beta) >= -1/2, an upper
+        # bound otherwise (Szego, Thm 7.32.1)
+        x = np.cos(np.linspace(0.0, math.pi, 20001))
+        n = np.array([0, 1, 2, 3, 5, 8, 13, 40, 120])
+        M = ex._jacobi_max_abs(alpha, beta, n)
+        dense = np.array([np.abs(sp.eval_jacobi(k, alpha, beta, x)).max() for k in n])
+        if max(alpha, beta) >= -0.5:
+            np.testing.assert_allclose(dense, M, rtol=1e-10)
+        else:
+            assert np.all(dense <= M * (1.0 + 1e-12))
+
+    @pytest.mark.parametrize("sigma", [math.inf, math.nan, -1.0])
+    def test_bad_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be a finite number >= 0"):
+            heat_coefficients(PolynomialFamily.chebyshev(b=4.0), sigma)

@@ -94,6 +94,21 @@ class TestHeatSmooth:
         with pytest.raises(ValueError, match="sigma"):
             heat_smooth(grid_op, grid_field, -0.1)
 
+    @pytest.mark.parametrize("sigma", [math.inf, math.nan])
+    def test_non_finite_sigma_rejected(self, grid_op, grid_field, sigma):
+        with pytest.raises(ValueError, match="sigma must be a finite number"):
+            heat_smooth(grid_op, grid_field, sigma)
+
+    @pytest.mark.parametrize("half_bsigma", [1e-3, 1.0, 1e3, 1e5])
+    def test_mass_balance_at_default_degree(self, half_bsigma):
+        # 1^T C = 0, so sum A*g = p(0) * sum A*f with p(0) = 1 up to the
+        # truncation error; a fixed degree 1000 loses 0.16% at b*sigma/2 = 1e5
+        op = assemble_lb_operator(make_grid_mesh(8, 8))
+        f = np.random.default_rng(5).standard_normal(op.n_vertices)
+        sigma = 2.0 * half_bsigma / estimate_lambda_max(op)
+        g = heat_smooth(op, f, sigma)
+        assert abs(op.A @ g - op.A @ f) <= 1e-12 * (op.A @ np.abs(f))
+
 
 class TestIterativeSmooth:
     def test_single_step_equals_heat_smooth(self, grid_op, grid_field):
@@ -118,6 +133,8 @@ class TestIterativeSmooth:
             iterative_smooth(grid_op, grid_field, -0.1, 2)
         with pytest.raises(ValueError):
             iterative_smooth(grid_op, grid_field, 0.1, 0)
+        with pytest.raises(ValueError, match="sigma_step must be a finite number"):
+            iterative_smooth(grid_op, grid_field, math.inf, 2)
 
 
 class TestFemEuler:
