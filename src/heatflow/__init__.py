@@ -22,6 +22,7 @@ from .expansion import (
     laguerre_coefficients,
     numeric_coefficients,
     recurrence_params,
+    spectral_bound,
 )
 from .fields import FieldStack, read_field_csv, read_stack_csv, write_field_csv, write_stack_csv
 from .mesh import (

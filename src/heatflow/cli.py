@@ -24,6 +24,7 @@ from .expansion import (
     estimate_lambda_max,
     heat_coefficients,
     resolve_family,
+    spectral_bound,
 )
 from .fields import FieldStack, read_field_csv, read_stack_csv, write_field_csv, write_stack_csv
 from .mesh import assemble_lb_operator, export_operator, load_mesh
@@ -297,9 +298,9 @@ def _cmd_lbo(args):
         mesh, area_scheme="barycentric" if args.barycentric else "mixed"
     )
     export_operator(op, args.out_c, args.out_a)
-    lam = estimate_lambda_max(op)
+    lam, b = estimate_lambda_max(op), spectral_bound(op)
     _echo_config(args, args.out_c)
-    print(f"lbo: N={op.n_vertices} nnz={op.C.nnz} lambda_max~{lam:.6g}")
+    print(f"lbo: N={op.n_vertices} nnz={op.C.nnz} lambda_max~{lam:.6g} b={b:.6g}")
     return 0
 
 

@@ -31,6 +31,9 @@ _FIRST_BLOCK = 32
 # m=None in the unscaled families, whose polynomials are unbounded on the
 # spectrum and so give no tail bound.
 _UNSCALED_DEGREE = 1000
+# estimate_lambda_max solves densely below this many vertices, where that beats
+# ARPACK (1.3 against 2.4 ms at 162 vertices; 22 against 3.8 ms at 642).
+_DENSE_ESTIMATE_N = 256
 
 
 @dataclass(frozen=True)
@@ -38,8 +41,8 @@ class PolynomialFamily:
     """Orthogonal polynomial family with optional domain scale b.
 
     kind is one of chebyshev, jacobi, hermite, laguerre. alpha/beta apply to
-    Jacobi only (both > -1); b > 0 is the shift/scale of the Chebyshev and
-    Jacobi domains and is unused by Hermite/Laguerre.
+    Jacobi only (both > -1); a finite b > 0 is the shift/scale of the
+    Chebyshev and Jacobi domains and is unused by Hermite/Laguerre.
     """
 
     kind: str
@@ -55,8 +58,8 @@ class PolynomialFamily:
                 raise ValueError("jacobi family requires alpha and beta")
             if self.alpha <= -1 or self.beta <= -1:
                 raise ValueError("jacobi requires alpha > -1 and beta > -1")
-        if self.b is not None and not self.b > 0:
-            raise ValueError(f"domain scale b must be positive, got {self.b}")
+        if self.b is not None and not (math.isfinite(self.b) and self.b > 0):
+            raise ValueError(f"domain scale b must be a finite number > 0, got {self.b}")
 
     @property
     def scaled(self):
@@ -194,9 +197,8 @@ def chebyshev_coefficients(sigma, b, m=None):
     tail sum_{n>m} |c_n| is at most 1e-16 (see heat_coefficients).
     """
     _check_sigma_degree(sigma, m)
-    if not b > 0:
-        raise ValueError(f"b must be positive, got {b}")
-    x = 0.5 * b * sigma
+    family = PolynomialFamily.chebyshev(b=float(b))
+    x = 0.5 * family.b * sigma
 
     def block(lo, hi):
         n = np.arange(lo, hi)
@@ -206,7 +208,7 @@ def chebyshev_coefficients(sigma, b, m=None):
         return c
 
     c = _chop(block) if m is None else block(0, m + 1)
-    return ExpansionCoefficients(PolynomialFamily.chebyshev(b=float(b)), float(sigma), c)
+    return ExpansionCoefficients(family, float(sigma), c)
 
 
 def _jacobi_max_abs(alpha, beta, n):
@@ -412,61 +414,58 @@ def evaluate_expansion(coeffs, lam):
     return out
 
 
-def estimate_lambda_max(op):
-    """Estimate of the largest eigenvalue of Delta = A^-1 C.
+def spectral_bound(op):
+    """Certified upper bound on the spectrum of Delta = A^-1 C: the domain scale b.
 
-    Block power iteration on the symmetrized A^-1/2 C A^-1/2 (a small
-    orthonormalized subspace survives clustered top eigenvalues that stall a
-    single power vector), run to a relative Ritz-value tolerance; the result
-    is the top Ritz value times a 1.01 safety factor, which is not certified
-    to bound the spectrum. The tail bounds of heat_coefficients hold on
-    [0, b] only, so they hold for the operator only when this b does; a
-    certified bound (Gershgorin's, say) is not computed. The result is cached
-    on the operator.
+    The Gershgorin bound max_i (C_ii + sum_{j != i} |C_ij|) / A_i; 0 for a zero
+    operator. When no off-diagonal of C is positive, the zero row sums make
+    it 2 max_i C_ii / A_i, at most twice the largest eigenvalue. Cached on
+    the operator.
     """
-    if op.lambda_max_hint is not None:
-        return op.lambda_max_hint
-    if op.C.nnz == 0 or np.abs(op.C.data).max() == 0.0:
-        op.lambda_max_hint = 0.0
-        return 0.0
-    n = op.n_vertices
-    d = 1.0 / np.sqrt(op.A)
-    block = min(8, n)
-    rng = np.random.default_rng(0)
-    V = np.linalg.qr(rng.standard_normal((n, block)))[0]
-    ray_prev = 0.0
-    steady = 0
-    for it in range(5000):
-        W = d[:, None] * op.C.dot(d[:, None] * V)
-        ray = float(np.linalg.eigvalsh(V.T @ W).max())
-        V, _ = np.linalg.qr(W)
-        if it >= 10:
-            if abs(ray - ray_prev) <= 1e-5 * max(abs(ray), 1e-30):
-                steady += 1
-                if steady >= 3:
-                    break
-            else:
-                steady = 0
-        ray_prev = ray
-    else:
-        raise RuntimeError("power iteration for lambda_max did not converge")
-    bound = 1.01 * ray
-    op.lambda_max_hint = bound
-    return bound
+    if op.gershgorin_bound is None:
+        diag = op.C.diagonal()
+        rows = diag - np.abs(diag) + np.asarray(abs(op.C).sum(axis=1)).ravel()
+        op.gershgorin_bound = float(np.max(rows / op.A))
+    return op.gershgorin_bound
+
+
+def estimate_lambda_max(op):
+    """Estimate of the largest eigenvalue of Delta = A^-1 C, not a bound.
+
+    1.01 x the top eigenvalue of A^-1/2 C A^-1/2 from Lanczos (scipy eigsh,
+    relative tolerance 1e-6, seeded start vector), or dense below
+    _DENSE_ESTIMATE_N vertices. It serves the forward-Euler stability check
+    and the caution on unscaled families; b comes from spectral_bound.
+    Cached on the operator.
+    """
+    if op.lambda_max_hint is None:
+        d = 1.0 / np.sqrt(op.A)
+        S = op.C.multiply(d[:, None]).multiply(d[None, :]).tocsr()
+        if S.count_nonzero() == 0:
+            top = 0.0
+        elif op.n_vertices < _DENSE_ESTIMATE_N:
+            top = np.linalg.eigvalsh(S.toarray())[-1]
+        else:
+            from scipy.sparse.linalg import eigsh  # kept out of the CLI's start-up
+
+            v0 = np.random.default_rng(0).standard_normal(op.n_vertices)
+            top = eigsh(S, k=1, which="LA", tol=1e-6, v0=v0, return_eigenvectors=False)[0]
+        op.lambda_max_hint = 1.01 * float(top)
+    return op.lambda_max_hint
 
 
 def resolve_family(op, family=None, sigma=0.0):
     """The family to expand in on op, with the domain scale b filled in.
 
-    family defaults to Chebyshev. A scaled family without b gets the spectral
-    bound of the operator (1 when the operator is zero). An unscaled family
-    warns when sigma*lambda_max is large enough for its terms to grow before
-    they decay.
+    family defaults to Chebyshev. A scaled family without b gets the
+    spectral_bound of the operator (1 when the operator is zero). An unscaled
+    family warns when sigma*estimate_lambda_max is large enough for its terms
+    to grow before they decay.
     """
     if family is None:
         family = PolynomialFamily.chebyshev()
     if family.scaled and family.b is None:
-        b = estimate_lambda_max(op)
+        b = spectral_bound(op)
         family = family.with_b(b if b > 0 else 1.0)
     if not family.scaled and sigma > 0:
         product = estimate_lambda_max(op) * sigma

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_FMT = "{:.16e}"
+_FMT = "%.16e"
 
 
 @dataclass(frozen=True)
@@ -55,8 +55,7 @@ def write_field_csv(path, values):
     if values.ndim != 1:
         raise ValueError("field must be 1-d")
     with open(path, "w") as fh:
-        for v in values:
-            fh.write(_FMT.format(v) + "\n")
+        fh.write((_FMT + "\n") * values.size % tuple(values.tolist()))
 
 
 def read_field_csv(path):
@@ -72,8 +71,8 @@ def write_stack_csv(path, stack):
     """Header row of column labels, then one comma-separated row per vertex."""
     with open(path, "w") as fh:
         fh.write(",".join(stack.labels) + "\n")
-        for row in stack.values:
-            fh.write(",".join(_FMT.format(v) for v in row) + "\n")
+        row = ",".join([_FMT] * stack.n_columns) + "\n"
+        fh.write(row * stack.n_vertices % tuple(stack.values.ravel().tolist()))
 
 
 def read_stack_csv(path, axis_meaning="scales"):

@@ -127,7 +127,8 @@ class LBOperator:
     """Discrete Laplace-Beltrami operator: stiffness C and vertex areas A.
 
     C is symmetric sparse (CSR) with zero row sums; A is strictly positive.
-    Instances are immutable apart from the lazily cached spectral bound.
+    Instances are immutable apart from the lazily cached spectral estimate
+    (lambda_max_hint) and bound (gershgorin_bound).
     """
 
     def __init__(self, C, A, lambda_max_hint=None):
@@ -139,6 +140,7 @@ class LBOperator:
             raise ValueError("vertex areas must be strictly positive")
         self.A.setflags(write=False)
         self.lambda_max_hint = lambda_max_hint
+        self.gershgorin_bound = None
 
     @property
     def n_vertices(self):
@@ -153,19 +155,6 @@ def _require_clean(mesh):
         )
 
 
-def _check_manifold(mesh):
-    edges = np.sort(
-        mesh.faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1
-    )
-    uniq, counts = np.unique(edges, axis=0, return_counts=True)
-    bad = counts > 2
-    if bad.any():
-        i, j = uniq[np.argmax(bad)]
-        raise ValueError(
-            f"non-manifold edge ({i}, {j}) shared by {counts[np.argmax(bad)]} faces"
-        )
-
-
 def cotan_matrix(mesh):
     """Symmetric cotan stiffness matrix C of a (boundary-allowed) manifold mesh.
 
@@ -173,17 +162,23 @@ def cotan_matrix(mesh):
     incident triangle. Diagonal: negative sum of the row's off-diagonals.
     """
     _require_clean(mesh)
-    _check_manifold(mesh)
     f = mesh.faces
-    cots, _ = mesh._corner_cotangents()
     n = mesh.n_vertices
     # edge opposite corner c, stored with sorted endpoints so each undirected
     # edge accumulates both triangle contributions in one matrix entry
     rows = np.concatenate([f[:, 1], f[:, 2], f[:, 0]])
     cols = np.concatenate([f[:, 2], f[:, 0], f[:, 1]])
-    vals = 0.5 * np.concatenate([cots[:, 0], cots[:, 1], cots[:, 2]])
     lo = np.minimum(rows, cols)
     hi = np.maximum(rows, cols)
+    # the key lo * n + hi sorts like the pair (lo, hi), so a 1-D unique names
+    # the first non-manifold edge in that order
+    keys, counts = np.unique(lo * n + hi, return_counts=True)
+    bad = counts > 2
+    if bad.any():
+        k = np.argmax(bad)
+        raise ValueError(f"non-manifold edge {divmod(int(keys[k]), n)} shared by {counts[k]} faces")
+    cots, _ = mesh._corner_cotangents()
+    vals = 0.5 * np.concatenate([cots[:, 0], cots[:, 1], cots[:, 2]])
     upper = sparse.coo_matrix((vals, (lo, hi)), shape=(n, n)).tocsr()
     upper.sum_duplicates()
     off = -(upper + upper.T)

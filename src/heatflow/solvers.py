@@ -51,8 +51,8 @@ def _check_field(op, f):
 def heat_smooth(op, f, sigma, family=None, m=None):
     """Heat kernel convolution of f at diffusion time sigma.
 
-    family defaults to Chebyshev with b auto-set to estimate_lambda_max of
-    the operator. m=None picks the degree from the coefficient tail (see
+    family defaults to Chebyshev with b auto-set to the certified
+    spectral_bound of the operator. m=None picks the degree from the coefficient tail (see
     expansion.heat_coefficients): for Chebyshev, the smallest m whose tail
     sum_{n>m} |c_n| is at most 1e-16, a bound on the truncation error of the
     heat weight over [0, b]. Hermite and Laguerre fall back to degree 1000
@@ -146,8 +146,8 @@ def eigen_smooth(es, op, f, sigma):
     f = _check_field(op, f)
     if es.eigenvectors.shape[0] != op.n_vertices:
         raise ValueError("eigen system does not match operator size")
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be a finite number >= 0, got {sigma}")
     proj = es.eigenvectors.T @ (op.A * f)
     return es.eigenvectors @ (np.exp(-es.eigenvalues * sigma) * proj)
 

@@ -1,12 +1,16 @@
 import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from heatflow.cli import main
-from heatflow.expansion import PolynomialFamily, estimate_lambda_max, heat_coefficients
+from heatflow.expansion import PolynomialFamily, heat_coefficients, spectral_bound
 from heatflow.fields import read_field_csv, read_stack_csv, write_field_csv, write_stack_csv, FieldStack
 from heatflow.mesh import assemble_lb_operator, save_off
 from heatflow.solvers import heat_smooth
@@ -129,7 +133,7 @@ class TestSmoothCommand:
         assert config["flags"]["degree"] is None
         resolved = config["resolved"]
         op = assemble_lb_operator(mesh)
-        assert resolved["b"] == estimate_lambda_max(op)
+        assert resolved["b"] == spectral_bound(op)
         want = heat_coefficients(PolynomialFamily.chebyshev(b=resolved["b"]), 0.01)
         assert resolved["degree"] == want.degree < 1000
         assert f" degree={want.degree} " in capsys.readouterr().out
@@ -307,7 +311,7 @@ class TestStatsCommand:
 
 
 class TestLboCommand:
-    def test_export_equilateral(self, tmp_path):
+    def test_export_equilateral(self, tmp_path, capsys):
         verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, math.sqrt(3) / 2, 0.0]])
         from heatflow.mesh import TriangleMesh
 
@@ -323,8 +327,27 @@ class TestLboCommand:
         assert len(off_diag) == 3
         for v in off_diag:
             assert v == pytest.approx(-1.0 / (2 * math.sqrt(3.0)), rel=1e-12)
+        # eigenvalues 0, 6, 6; Gershgorin gives (1/sqrt3 + 1/sqrt3) / (sqrt3/12) = 8
+        assert "lambda_max~6.06 b=8\n" in capsys.readouterr().out
 
     def test_missing_mesh_exit_1(self, tmp_path):
         code = main(["lbo", "--mesh", str(tmp_path / "none.off"),
                      "--out-c", str(tmp_path / "C.mtx"), "--out-a", str(tmp_path / "A.csv")])
         assert code == 1
+
+
+def test_cold_import_leaves_out_lazy_scipy_modules():
+    # estimate_lambda_max and numeric_coefficients import scipy.sparse.linalg
+    # and scipy.fft inside the function, so commands that never call them
+    # (stats) do not pay for them at start-up
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys; import heatflow.cli; "
+        "print(sorted(m for m in ('scipy.sparse.linalg', 'scipy.fft') if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -4,6 +4,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy import special as sp
 
 import heatflow.expansion as ex
@@ -21,8 +22,11 @@ from heatflow.expansion import (
     laguerre_coefficients,
     numeric_coefficients,
     recurrence_params,
+    resolve_family,
+    spectral_bound,
 )
-from heatflow.mesh import assemble_lb_operator
+from heatflow.mesh import LBOperator, TriangleMesh, assemble_lb_operator
+from heatflow.sphere import icosphere
 from heatflow.solvers import heat_smooth
 
 from conftest import make_grid_mesh
@@ -74,6 +78,17 @@ class TestRecurrenceParams:
             PolynomialFamily.jacobi(-1.5, 0.0)
         with pytest.raises(ValueError):
             PolynomialFamily.chebyshev(b=-2.0)
+
+    @pytest.mark.parametrize("b", [math.inf, -math.inf, math.nan])
+    def test_non_finite_b_rejected(self, b):
+        for make in (
+            lambda: PolynomialFamily.chebyshev(b=b),
+            lambda: PolynomialFamily.jacobi(0.0, 0.0, b=b),
+            lambda: chebyshev_coefficients(0.01, b, 10),
+            lambda: jacobi_coefficients(0.01, b, 1.0, 0.5, 10),
+        ):
+            with pytest.raises(ValueError, match="domain scale b must be a finite number"):
+                make()
 
 
 class TestChebyshevCoefficients:
@@ -216,6 +231,89 @@ class TestEstimateLambdaMax:
         coarse = assemble_lb_operator(make_grid_mesh(6, 6, spacing=1.0))
         fine = assemble_lb_operator(make_grid_mesh(11, 11, spacing=0.5))
         assert estimate_lambda_max(fine) > estimate_lambda_max(coarse)
+
+    def test_lanczos_matches_dense_top_eigenvalue(self):
+        op = assemble_lb_operator(make_grid_mesh(20, 20, bump=0.5))
+        assert op.n_vertices >= ex._DENSE_ESTIMATE_N  # the ARPACK path
+        lam, _ = dense_eigensystem(op)
+        got = estimate_lambda_max(op)
+        assert abs(got / 1.01 - lam.max()) <= 1e-6 * lam.max()
+
+
+def _compact(verts, faces):
+    """Drop vertices no face references and renumber the faces."""
+    used = np.unique(faces)
+    index = np.full(len(verts), -1)
+    index[used] = np.arange(used.size)
+    return TriangleMesh(verts[used], index[faces])
+
+
+def _sheared_grid():
+    """Grid sheared until its triangles are obtuse and C has positive off-diagonals."""
+    mesh = make_grid_mesh(8, 7, bump=0.3)
+    verts = mesh.vertices.copy()
+    verts[:, 0] += 2.5 * verts[:, 1]
+    return TriangleMesh(verts, mesh.faces)
+
+
+def _holed_sphere():
+    """Perturbed icosphere with a polar cap cut out, so it has a boundary loop."""
+    mesh = icosphere(2)
+    rng = np.random.default_rng(4)
+    verts = mesh.vertices * (1.0 + 0.05 * rng.standard_normal(mesh.n_vertices))[:, None]
+    keep = np.all(mesh.vertices[mesh.faces, 2] < 0.6, axis=1)
+    return _compact(verts, mesh.faces[keep])
+
+
+def _two_components():
+    """A holed sphere and a smaller whole sphere: eigenvalue 0 twice."""
+    a = _holed_sphere()
+    b = icosphere(1)
+    verts = np.vstack([a.vertices, 0.4 * b.vertices + 5.0])
+    faces = np.vstack([a.faces, b.faces + a.n_vertices])
+    return TriangleMesh(verts, faces)
+
+
+class TestSpectralBound:
+    MESHES = {
+        "bumpy grid": lambda: make_grid_mesh(9, 8, bump=0.5),
+        "obtuse": _sheared_grid,
+        "boundary": _holed_sphere,
+        "two components": _two_components,
+    }
+
+    @pytest.mark.parametrize("name", sorted(MESHES))
+    def test_bounds_dense_spectrum(self, name):
+        op = assemble_lb_operator(self.MESHES[name]())
+        lam, _ = dense_eigensystem(op)
+        assert lam.max() <= spectral_bound(op)
+
+    def test_obtuse_mesh_has_positive_off_diagonals(self):
+        C = assemble_lb_operator(_sheared_grid()).C.tocoo()
+        assert (C.data[C.row != C.col] > 0).any()
+
+    @pytest.mark.parametrize("name", ["boundary", "two components"])
+    def test_at_most_twice_lambda_max_without_positive_off_diagonals(self, name):
+        op = assemble_lb_operator(self.MESHES[name]())
+        C = op.C.tocoo()
+        assert (C.data[C.row != C.col] <= 0).all()
+        lam, _ = dense_eigensystem(op)
+        top_diag = (op.C.diagonal() / op.A).max()
+        assert spectral_bound(op) <= 2.0 * top_diag * (1.0 + 1e-12)
+        assert top_diag <= lam.max() * (1.0 + 1e-12)
+
+    def test_zero_operator(self):
+        op = LBOperator(sparse.csr_matrix((3, 3)), np.ones(3))
+        assert spectral_bound(op) == 0.0
+        assert resolve_family(op).b == 1.0
+
+    def test_cached_on_operator_and_sets_b(self):
+        op = assemble_lb_operator(make_grid_mesh(5, 5))
+        got = spectral_bound(op)
+        assert op.gershgorin_bound == got
+        assert spectral_bound(op) == got
+        assert resolve_family(op).b == got
+        assert resolve_family(op, PolynomialFamily.jacobi(1.0, 0.5)).b == got
 
 
 class TestApplyExpansion:

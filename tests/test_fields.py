@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,25 @@ def test_stack_csv_roundtrip(tmp_path):
     np.testing.assert_array_equal(back.values, stack.values)
     assert back.labels == stack.labels
     assert p.read_text().splitlines()[0] == "0.1,0.2,0.3,0.4"
+
+
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1.797e308, -1.797e308, 1.0 / 3.0, -2.5e-300]
+
+
+def test_field_csv_bytes_match_per_value_format(tmp_path):
+    values = EDGE_VALUES + [math.inf, -math.inf, math.nan]
+    p = tmp_path / "f.csv"
+    write_field_csv(p, np.array(values))
+    assert p.read_text() == "".join("{:.16e}\n".format(v) for v in values)
+
+
+def test_stack_csv_bytes_match_per_value_format(tmp_path):
+    # FieldStack holds finite values only, so the stack gets the finite ones
+    values = np.array(EDGE_VALUES).reshape(4, 2)
+    p = tmp_path / "s.csv"
+    write_stack_csv(p, FieldStack(values, ["a", "b"], "scales"))
+    rows = "".join(",".join("{:.16e}".format(v) for v in row) + "\n" for row in values)
+    assert p.read_text() == "a,b\n" + rows
 
 
 def test_stack_validation():

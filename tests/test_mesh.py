@@ -159,6 +159,17 @@ class TestCotanMatrix:
         with pytest.raises(ValueError, match="non-manifold"):
             cotan_matrix(mesh)
 
+    def test_first_non_manifold_edge_in_sorted_order_named(self):
+        # edge (2, 3) comes first in face order, (1, 9) first in (lo, hi) order
+        verts = np.random.default_rng(2).standard_normal((10, 3))
+        faces = np.array([
+            [2, 3, 5], [3, 2, 6], [2, 3, 7],
+            [9, 1, 0], [1, 9, 4], [9, 1, 8], [1, 9, 3],
+        ])
+        mesh = TriangleMesh(verts, faces)
+        with pytest.raises(ValueError, match=r"non-manifold edge \(1, 9\) shared by 4 faces"):
+            cotan_matrix(mesh)
+
     def test_degenerate_face_is_hard_error(self):
         verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [2, 0, 0]], dtype=float)
         faces = np.array([[0, 1, 2], [0, 1, 3]])

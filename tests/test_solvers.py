@@ -6,6 +6,7 @@ import pytest
 
 from heatflow.expansion import PolynomialFamily, estimate_lambda_max
 from heatflow.mesh import assemble_lb_operator
+from heatflow.sphere import icosphere
 from heatflow.solvers import (
     EigenSystem,
     cosine_diffusion_1d,
@@ -196,6 +197,14 @@ class TestEigenSmooth:
         out = eigen_smooth(es, grid_op, grid_field, 1e6)
         want = grid_op.A @ grid_field / grid_op.A.sum()
         np.testing.assert_allclose(out, want, atol=1e-8)
+
+    @pytest.mark.parametrize("sigma", [math.inf, math.nan])
+    def test_non_finite_sigma_rejected(self, sigma):
+        op = assemble_lb_operator(icosphere(1))
+        es = eigen_reference(op, op.n_vertices)
+        f = np.random.default_rng(0).standard_normal(op.n_vertices)
+        with pytest.raises(ValueError, match="sigma must be a finite number >= 0"):
+            eigen_smooth(es, op, f, sigma)
 
     def test_dimension_mismatch(self, grid_op):
         es = EigenSystem(np.array([0.0]), np.ones((3, 1)))
