@@ -13,9 +13,10 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy import sparse
 from scipy import special as _sp
 
-from .mesh import apply_lb
+from .mesh import _check_field
 from .special import kummer_1f1_log, log_gamma
 
 _KINDS = ("chebyshev", "jacobi", "hermite", "laguerre")
@@ -88,9 +89,11 @@ class PolynomialFamily:
 
 @dataclass(frozen=True)
 class ExpansionCoefficients:
-    """Spectral-weight expansion: family, diffusion time and coefficient vector.
+    """Spectral-weight expansion: family, diffusion time and coefficients.
 
-    sigma is None for generic (non-heat) weights such as wavelet kernels.
+    coeffs is (m+1,) for one weight or (m+1, S) for S weights, one per
+    column, that share one recurrence. sigma is None for generic (non-heat)
+    weights such as wavelet kernels.
     """
 
     family: PolynomialFamily
@@ -99,8 +102,8 @@ class ExpansionCoefficients:
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=float)
-        if c.ndim != 1 or c.size == 0:
-            raise ValueError("coeffs must be a nonempty 1-d vector")
+        if c.ndim not in (1, 2) or c.size == 0:
+            raise ValueError("coeffs must be a nonempty (m+1,) vector or (m+1, S) matrix")
         if not np.all(np.isfinite(c)):
             raise ValueError("coefficients must be finite")
         c.setflags(write=False)
@@ -109,23 +112,6 @@ class ExpansionCoefficients:
     @property
     def degree(self):
         return len(self.coeffs) - 1
-
-    def to_json_dict(self):
-        f = self.family
-        return {
-            "family": f.kind,
-            "alpha": f.alpha,
-            "beta": f.beta,
-            "sigma": self.sigma,
-            "b": f.b,
-            "degree": self.degree,
-            "coeffs": [float(c) for c in self.coeffs],
-        }
-
-
-def coefficients_from_json(d):
-    fam = PolynomialFamily(d["family"], alpha=d.get("alpha"), beta=d.get("beta"), b=d.get("b"))
-    return ExpansionCoefficients(fam, d.get("sigma"), np.asarray(d["coeffs"], dtype=float))
 
 
 def recurrence_params(family, n):
@@ -163,8 +149,8 @@ def _chop(block, weight=None):
     block(lo, hi) gives c_n for lo <= n < hi and weight(n) the bound M_n on
     |P_n| over [-1, 1] (1 when None). m is the smallest degree with
     sum_{n>m} |c_n| M_n <= _TAIL_REL * sum_n |c_n| M_n over the whole infinite
-    series: blocks double until the geometric series with the ratio of the
-    last two weighted terms, which bounds everything past them, is small
+    series: blocks grow by half until the geometric series with the ratio of
+    the last two weighted terms, which bounds everything past them, is small
     enough to decide m. That bound is rigorous when the ratios decrease, as
     I_{n+1}(x)/I_n(x) does for the Chebyshev heat coefficients.
     """
@@ -187,7 +173,7 @@ def _chop(block, weight=None):
         # the unknown rest
         if met.size and (met[0] == 0 or after[met[0] - 1] > _TAIL_REL * (known + rest)):
             return c[: met[0] + 1]
-        c = np.concatenate([c, block(c.size, 2 * c.size)])
+        c = np.concatenate([c, block(c.size, c.size + c.size // 2)])
 
 
 def chebyshev_coefficients(sigma, b, m=None):
@@ -319,21 +305,6 @@ def heat_coefficients(family, sigma, m=None):
     return laguerre_coefficients(sigma, m)
 
 
-def _polynomial_table(family, m, x):
-    """P_n(x) for n = 0..m on the (already transformed) grid x."""
-    x = np.asarray(x, dtype=float)
-    table = np.empty((m + 1,) + x.shape)
-    table[0] = 1.0
-    prev = np.zeros_like(x)
-    cur = np.ones_like(x)
-    for n in range(m):
-        A, B, C = recurrence_params(family, n)
-        nxt = (A * x + B) * cur + C * prev
-        table[n + 1] = nxt
-        prev, cur = cur, nxt
-    return table
-
-
 def _jacobi_norm_log(alpha, beta, n):
     """log of the [-1,1] orthogonality constant h_n of P_n^(alpha,beta)."""
     if n == 0:
@@ -389,8 +360,7 @@ def numeric_coefficients(weight, family, m, nodes=None):
         x, w = _sp.roots_jacobi(K, family.alpha, family.beta)
         lam = 0.5 * b * (x + 1.0)
         W = _eval_weight(weight, lam)
-        table = _polynomial_table(family, m, x)
-        raw = table @ (w * W)
+        raw = np.array([p @ (w * W) for p in _terms(family, sparse.diags(x), np.ones(K), m)])
         norms = np.array(
             [math.exp(_jacobi_norm_log(family.alpha, family.beta, n)) for n in range(m + 1)]
         )
@@ -403,15 +373,8 @@ def evaluate_expansion(coeffs, lam):
     lam = np.asarray(lam, dtype=float)
     fam = coeffs.family
     x = 2.0 * lam / fam.b - 1.0 if fam.scaled else lam
-    prev = np.zeros_like(x)
-    cur = np.ones_like(x)
-    out = coeffs.coeffs[0] * cur
-    for n in range(coeffs.degree):
-        A, B, C = recurrence_params(fam, n)
-        nxt = (A * x + B) * cur + C * prev
-        out = out + coeffs.coeffs[n + 1] * nxt
-        prev, cur = cur, nxt
-    return out
+    out = _series(coeffs, sparse.diags(x.ravel()), np.ones(x.size))
+    return out.reshape(lam.shape + coeffs.coeffs.shape[1:])
 
 
 def spectral_bound(op):
@@ -479,56 +442,83 @@ def resolve_family(op, family=None, sigma=0.0):
     return family
 
 
-def apply_expansion(op, coeffs, f):
-    """sum_n c_n P_n(Delta) f through the three-term recurrence.
+def _recurrence_matrix(op, b):
+    """(2/b) A^-1 C - I, or A^-1 C for b None: the CSR matrix the recurrence runs on.
 
-    Runs in the transformed operator (2/b) Delta - I for scaled families.
-    Costs exactly `degree` applications of the operator; raises if the
-    recurrence leaves the finite range (checked every 64 degrees).
+    A copy of C scaled row by row with its diagonal shifted; cached on op for the last b.
     """
-    f = np.asarray(f, dtype=float)
-    if f.shape != (op.n_vertices,):
-        raise ValueError(
-            f"field length {f.shape} does not match operator size {op.n_vertices}"
-        )
-    fam = coeffs.family
-    if fam.scaled and fam.b is None:
-        raise ValueError("scaled families need the domain scale b to be set")
+    cached = op.recurrence_matrix
+    if cached is None or cached[0] != b:
+        X = op.C.copy()
+        scale = 1.0 / op.A if b is None else (2.0 / b) / op.A
+        X.data *= np.repeat(scale, np.diff(X.indptr))
+        if b is not None:
+            X.setdiag(X.diagonal() - 1.0)
+        op.recurrence_matrix = cached = (b, X)
+    return cached[1]
+
+
+def _terms(family, X, f, m):
+    """Yield P_0(X) f, ..., P_m(X) f: the three-term recurrence of the family.
+
+    X is anything with X @ v, already in the variable the family runs in.
+    Each degree costs one X @ v; a yielded array is never modified afterwards.
+    """
+    prev, cur = None, f
+    yield cur
+    for n in range(m):
+        A, B, C = recurrence_params(family, n)
+        nxt = X @ cur
+        if A != 1.0:
+            nxt *= A
+        if B != 0.0:
+            nxt += B * cur
+        if n and C == -1.0:
+            nxt -= prev  # Chebyshev, without a temporary
+        elif n and C != 0.0:
+            nxt += C * prev
+        yield nxt
+        prev, cur = cur, nxt
+
+
+def _series(coeffs, X, f):
+    """sum_n c_n P_n(X) f, with one output column per coefficient column.
+
+    Raises if the recurrence leaves the finite range (checked every 64
+    degrees) or the sum is not finite.
+    """
     c = coeffs.coeffs
-    out = c[0] * f
-    prev = np.zeros_like(f)
-    cur = f.copy()
-    scratch = np.empty_like(f)
+    out = np.zeros(f.shape + c.shape[1:])
+    scratch = np.empty_like(out)
+    column = f.shape + (1,) * (c.ndim - 1)  # f against one row of c
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(coeffs.degree):
-            A, B, C = recurrence_params(fam, n)
-            nxt = apply_lb(op, cur)
-            # nxt <- (A x + B) cur + C prev with x the (transformed) operator,
-            # built in place to keep the per-degree cost at one matvec plus
-            # a few vector passes
-            if fam.scaled:
-                nxt *= 2.0 * A / fam.b
-                cur_weight = B - A
-            else:
-                nxt *= A
-                cur_weight = B
-            if cur_weight != 0.0:
-                np.multiply(cur, cur_weight, out=scratch)
-                nxt += scratch
-            if C != 0.0:
-                np.multiply(prev, C, out=scratch)
-                nxt += scratch
-            if (n + 1) % _NAN_CHECK_EVERY == 0 and not np.all(np.isfinite(nxt)):
+        for n, p in enumerate(_terms(coeffs.family, X, f, coeffs.degree)):
+            if n and n % _NAN_CHECK_EVERY == 0 and not np.all(np.isfinite(p)):
                 raise RuntimeError(
-                    f"expansion recurrence diverged at degree {n + 1} "
-                    f"(family={fam.kind}, sigma={coeffs.sigma})"
+                    f"expansion recurrence diverged at degree {n} "
+                    f"(family={coeffs.family.kind}, sigma={coeffs.sigma})"
                 )
-            np.multiply(nxt, c[n + 1], out=scratch)
+            np.multiply(p.reshape(column), c[n], out=scratch)
             out += scratch
-            prev, cur = cur, nxt
     if not np.all(np.isfinite(out)):
         raise RuntimeError(
-            f"expansion produced non-finite values (family={fam.kind}, "
+            f"expansion produced non-finite values (family={coeffs.family.kind}, "
             f"degree={coeffs.degree})"
         )
     return out
+
+
+def apply_expansion(op, coeffs, f):
+    """sum_n c_n P_n(Delta) f through the three-term recurrence.
+
+    Runs on one CSR matrix cached on the operator: (2/b) A^-1 C - I for the
+    scaled families, A^-1 C for Hermite and Laguerre. Costs exactly `degree`
+    sparse matvecs, also for (m+1, S) coefficients, which give an (N, S)
+    result. Raises if the recurrence leaves the finite range (checked every
+    64 degrees).
+    """
+    f = _check_field(op, f)
+    fam = coeffs.family
+    if fam.scaled and fam.b is None:
+        raise ValueError("scaled families need the domain scale b to be set")
+    return _series(coeffs, _recurrence_matrix(op, fam.b if fam.scaled else None), f)

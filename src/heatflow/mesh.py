@@ -127,8 +127,10 @@ class LBOperator:
     """Discrete Laplace-Beltrami operator: stiffness C and vertex areas A.
 
     C is symmetric sparse (CSR) with zero row sums; A is strictly positive.
-    Instances are immutable apart from the lazily cached spectral estimate
-    (lambda_max_hint) and bound (gershgorin_bound).
+    Instances are immutable apart from what is lazily cached on them: the
+    spectral estimate (lambda_max_hint), the bound (gershgorin_bound) and the
+    matrix the expansion recurrence runs on (recurrence_matrix, a pair
+    (b, X) with X = (2/b) A^-1 C - I, or A^-1 C for b None).
     """
 
     def __init__(self, C, A, lambda_max_hint=None):
@@ -141,6 +143,7 @@ class LBOperator:
         self.A.setflags(write=False)
         self.lambda_max_hint = lambda_max_hint
         self.gershgorin_bound = None
+        self.recurrence_matrix = None
 
     @property
     def n_vertices(self):
@@ -231,14 +234,18 @@ def assemble_lb_operator(mesh, area_scheme="mixed"):
     return LBOperator(cotan_matrix(mesh), vertex_areas(mesh, scheme=area_scheme))
 
 
-def apply_lb(op, f):
-    """Apply the operator: A^-1 (C f)."""
+def _check_field(op, f):
     f = np.asarray(f, dtype=float)
     if f.shape != (op.n_vertices,):
         raise ValueError(
             f"field length {f.shape} does not match operator size {op.n_vertices}"
         )
-    return op.C.dot(f) / op.A
+    return f
+
+
+def apply_lb(op, f):
+    """Apply the operator: A^-1 (C f)."""
+    return op.C.dot(_check_field(op, f)) / op.A
 
 
 def export_operator(op, path_c, path_a):

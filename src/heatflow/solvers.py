@@ -13,8 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .expansion import apply_expansion, estimate_lambda_max, heat_coefficients, resolve_family
-from .mesh import apply_lb
+from .expansion import (
+    _check_sigma_degree,
+    apply_expansion,
+    estimate_lambda_max,
+    heat_coefficients,
+    resolve_family,
+)
+from .mesh import _check_field, apply_lb
 
 _DENSE_EIGEN_LIMIT = 5000
 
@@ -39,15 +45,6 @@ class EigenSystem:
         return self.eigenvalues.size
 
 
-def _check_field(op, f):
-    f = np.asarray(f, dtype=float)
-    if f.shape != (op.n_vertices,):
-        raise ValueError(
-            f"field length {f.shape} does not match operator size {op.n_vertices}"
-        )
-    return f
-
-
 def heat_smooth(op, f, sigma, family=None, m=None):
     """Heat kernel convolution of f at diffusion time sigma.
 
@@ -60,8 +57,7 @@ def heat_smooth(op, f, sigma, family=None, m=None):
     copy of f.
     """
     f = _check_field(op, f)
-    if not (math.isfinite(sigma) and sigma >= 0):
-        raise ValueError(f"sigma must be a finite number >= 0, got {sigma}")
+    _check_sigma_degree(sigma, None)
     if sigma == 0.0:
         return f.copy()
     family = resolve_family(op, family, sigma)
@@ -99,8 +95,7 @@ def fem_euler_smooth(op, f, sigma, n_iter):
     is unstable; violations raise before any iteration runs.
     """
     f = _check_field(op, f)
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    _check_sigma_degree(sigma, None)
     n_iter = int(n_iter)
     if n_iter < 1:
         raise ValueError(f"n_iter must be >= 1, got {n_iter}")
@@ -146,8 +141,7 @@ def eigen_smooth(es, op, f, sigma):
     f = _check_field(op, f)
     if es.eigenvectors.shape[0] != op.n_vertices:
         raise ValueError("eigen system does not match operator size")
-    if not (math.isfinite(sigma) and sigma >= 0):
-        raise ValueError(f"sigma must be a finite number >= 0, got {sigma}")
+    _check_sigma_degree(sigma, None)
     proj = es.eigenvectors.T @ (op.A * f)
     return es.eigenvectors @ (np.exp(-es.eigenvalues * sigma) * proj)
 
@@ -162,8 +156,7 @@ def cosine_diffusion_1d(samples, sigma, k_max):
     f = np.asarray(samples, dtype=float)
     if f.ndim != 1 or f.size < 2:
         raise ValueError("need at least 2 samples on the unit interval")
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    _check_sigma_degree(sigma, None)
     k_max = int(k_max)
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .expansion import apply_expansion, numeric_coefficients, resolve_family
+from .expansion import ExpansionCoefficients, apply_expansion, numeric_coefficients, resolve_family
 from .fields import FieldStack
 
 _DRIFT_TOL = 1e-10
@@ -106,13 +106,16 @@ def wavelet_transform(op, f, kernel, m=300):
     The Chebyshev domain scale b is taken from the operator's spectral
     bound; coefficients are computed numerically (no closed form exists).
     """
-    f = np.asarray(f, dtype=float)
     coeffs = kernel_coefficients(kernel, resolve_family(op), m)
     return apply_expansion(op, coeffs, f)
 
 
 def wavelet_stack(op, f, kernel, scales, m=300):
-    """One wavelet transform per scale t, columns in input order."""
+    """One wavelet transform per scale t, columns in input order.
+
+    The S scales are the columns of one (m+1, S) coefficient matrix, so the
+    whole stack runs one recurrence at m matvecs.
+    """
     scales = [float(t) for t in scales]
     if not scales:
         raise ValueError("scales must be nonempty")
@@ -120,5 +123,7 @@ def wavelet_stack(op, f, kernel, scales, m=300):
         raise ValueError("scales must be positive")
     if any(b <= a for a, b in zip(scales, scales[1:])):
         raise ValueError("scales must be strictly increasing")
-    cols = [wavelet_transform(op, f, kernel.with_scale(t), m=m) for t in scales]
-    return FieldStack(np.column_stack(cols), [repr(t) for t in scales], "scales")
+    family = resolve_family(op)
+    c = [kernel_coefficients(kernel.with_scale(t), family, m).coeffs for t in scales]
+    coeffs = ExpansionCoefficients(family, None, np.column_stack(c))
+    return FieldStack(apply_expansion(op, coeffs, f), [repr(t) for t in scales], "scales")

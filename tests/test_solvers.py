@@ -160,6 +160,11 @@ class TestFemEuler:
             fem_euler_smooth(grid_op, grid_field, 0.0, 10), grid_field
         )
 
+    @pytest.mark.parametrize("sigma", [math.inf, math.nan])
+    def test_non_finite_sigma_rejected(self, grid_op, grid_field, sigma):
+        with pytest.raises(ValueError, match="sigma must be a finite number >= 0"):
+            fem_euler_smooth(grid_op, grid_field, sigma, 10)
+
 
 class TestEigenReference:
     def test_constant_mode_and_residual(self, grid_op):
@@ -250,6 +255,11 @@ class TestCosineDiffusion1D:
     def test_input_validation(self):
         with pytest.raises(ValueError):
             cosine_diffusion_1d(np.array([1.0]), 0.1, 3)
+
+    @pytest.mark.parametrize("sigma", [math.inf, math.nan])
+    def test_non_finite_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be a finite number >= 0"):
+            cosine_diffusion_1d(np.ones(8), sigma, 3)
 
 
 class TestMse:

@@ -133,11 +133,15 @@ class TestWaveletTransform:
 
 
 class TestWaveletStack:
-    def test_single_scale_matches_transform(self, wav_op, wav_field):
-        stack = wavelet_stack(wav_op, wav_field, WaveletKernel(), [0.01], m=200)
-        direct = wavelet_transform(wav_op, wav_field, WaveletKernel(t=0.01), m=200)
-        assert stack.n_columns == 1
-        np.testing.assert_allclose(stack.values[:, 0], direct, atol=1e-12)
+    @pytest.mark.parametrize("scales", [[0.01], DEFAULT_SCALES], ids=["one", "default"])
+    def test_single_scale_matches_transform(self, wav_op, wav_field, scales):
+        # the stack runs all scales in one recurrence; each column must be
+        # the single-scale transform
+        stack = wavelet_stack(wav_op, wav_field, WaveletKernel(), scales, m=200)
+        assert stack.n_columns == len(scales)
+        for j, t in enumerate(scales):
+            direct = wavelet_transform(wav_op, wav_field, WaveletKernel(t=t), m=200)
+            np.testing.assert_allclose(stack.values[:, j], direct, atol=1e-12)
 
     def test_ten_default_scales(self, wav_op, wav_field):
         stack = wavelet_stack(wav_op, wav_field, WaveletKernel(), DEFAULT_SCALES, m=150)
