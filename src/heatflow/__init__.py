@@ -38,7 +38,6 @@ from .mesh import (
 )
 from .solvers import (
     EigenSystem,
-    cosine_diffusion_1d,
     eigen_reference,
     eigen_smooth,
     fem_euler_smooth,

@@ -41,6 +41,12 @@ from .stats import correlation_map, hotelling_t2_map, two_sample_t_map, write_st
 from .wavelets import WaveletKernel, wavelet_stack
 
 _VALIDATION_CAPS = ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0))
+# validate-sphere method -> the flag listing its fidelity parameters
+_SPHERE_METHOD_FLAGS = {
+    **dict.fromkeys(("chebyshev", "jacobi", "hermite", "laguerre"), "degree"),
+    "fem": "iters",
+    "eigen": "eigs",
+}
 
 
 def _limit_threads():
@@ -78,6 +84,13 @@ def _echo_config(args, out_path, resolved=None):
     _write_json(str(out_path) + ".config.json", payload)
 
 
+def _read_signal(path, mesh):
+    f = read_field_csv(path)
+    if f.size != mesh.n_vertices:
+        raise ValueError(f"signal has {f.size} values for a {mesh.n_vertices}-vertex mesh")
+    return f
+
+
 def _family_from_args(args, kind):
     if kind == "jacobi":
         return PolynomialFamily.jacobi(args.alpha, args.beta)
@@ -97,11 +110,7 @@ def _cmd_smooth(args):
     family = resolve_family(op, _family_from_args(args, args.family), args.sigma)
     t_assembly = time.perf_counter() - t0
 
-    f = read_field_csv(args.signal)
-    if f.size != mesh.n_vertices:
-        raise ValueError(
-            f"signal has {f.size} values for a {mesh.n_vertices}-vertex mesh"
-        )
+    f = _read_signal(args.signal, mesh)
 
     t1 = time.perf_counter()
     coeffs = heat_coefficients(family, args.sigma, args.degree) if args.sigma > 0 else None
@@ -143,11 +152,7 @@ def _cmd_smooth(args):
 def _cmd_wavelet(args):
     mesh = load_mesh(args.mesh)
     op = assemble_lb_operator(mesh)
-    f = read_field_csv(args.signal)
-    if f.size != mesh.n_vertices:
-        raise ValueError(
-            f"signal has {f.size} values for a {mesh.n_vertices}-vertex mesh"
-        )
+    f = _read_signal(args.signal, mesh)
     scales = [float(tok) for tok in args.scales.split(",") if tok]
     stack = wavelet_stack(op, f, WaveletKernel(), scales, m=args.degree)
     write_stack_csv(args.out, stack)
@@ -158,9 +163,7 @@ def _cmd_wavelet(args):
 
 def _run_sphere_method(op, signal, truth, sigma, method, param, es_cache, args):
     t0 = time.perf_counter()
-    if method in ("chebyshev", "jacobi", "hermite", "laguerre"):
-        g = heat_smooth(op, signal, sigma, family=_family_from_args(args, method), m=int(param))
-    elif method == "fem":
+    if method == "fem":
         g = fem_euler_smooth(op, signal, sigma, int(param))
     elif method == "eigen":
         k = int(param)
@@ -171,7 +174,7 @@ def _run_sphere_method(op, signal, truth, sigma, method, param, es_cache, args):
             es = EigenSystem(es.eigenvalues[:k], es.eigenvectors[:, :k])
         g = eigen_smooth(es, op, signal, sigma)
     else:
-        raise ValueError(f"unknown method {method!r}")
+        g = heat_smooth(op, signal, sigma, family=_family_from_args(args, method), m=int(param))
     seconds = time.perf_counter() - t0
     return {
         "mesh_vertices": op.n_vertices,
@@ -198,26 +201,19 @@ def _cmd_validate_sphere(args):
     truth = ground_truth_field(mesh, signal, truth_degree, args.sigma)
 
     methods = [tok for tok in args.method.split(",") if tok]
-    degrees = [int(t) for t in args.degree.split(",") if t] if args.degree else []
-    iters = [int(t) for t in args.iters.split(",") if t] if args.iters else []
-    eigs = [int(t) for t in args.eigs.split(",") if t] if args.eigs else []
+    lists = {
+        flag: [int(t) for t in getattr(args, flag).split(",") if t]
+        for flag in ("degree", "iters", "eigs")
+    }
     rows = []
     es_cache = {}
     for method in methods:
-        if method in ("chebyshev", "jacobi", "hermite", "laguerre"):
-            params = degrees
-            flag = "--degree"
-        elif method == "fem":
-            params = iters
-            flag = "--iters"
-        elif method == "eigen":
-            params = eigs
-            flag = "--eigs"
-        else:
+        if method not in _SPHERE_METHOD_FLAGS:
             raise ValueError(f"unknown method {method!r}")
-        if not params:
-            raise ValueError(f"method {method} needs {flag}")
-        for param in params:
+        flag = _SPHERE_METHOD_FLAGS[method]
+        if not lists[flag]:
+            raise ValueError(f"method {method} needs --{flag}")
+        for param in lists[flag]:
             row = _run_sphere_method(op, signal, truth, args.sigma, method, param, es_cache, args)
             rows.append(row)
             print(

@@ -17,7 +17,7 @@ from scipy import sparse
 from scipy import special as _sp
 
 from .mesh import _check_field
-from .special import kummer_1f1_log, log_gamma
+from .special import kummer_1f1_log
 
 _KINDS = ("chebyshev", "jacobi", "hermite", "laguerre")
 _NAN_CHECK_EVERY = 64
@@ -230,7 +230,7 @@ def jacobi_coefficients(sigma, b, alpha, beta, m=None):
     def block(lo, hi):
         c = np.zeros(hi - lo)
         for n in range(lo, hi):
-            log_ratio = 0.0 if n == 0 else log_gamma(s + n + 1.0) - log_gamma(s + 2.0 * n + 1.0)
+            log_ratio = 0.0 if n == 0 else math.lgamma(s + n + 1.0) - math.lgamma(s + 2.0 * n + 1.0)
             sign_f, log_f = kummer_1f1_log(beta + n + 1.0, s + 2.0 * n + 2.0, -bs)
             log_mag = log_ratio + n * log_bs + log_f
             if log_mag < -745.0:
@@ -257,7 +257,7 @@ def hermite_coefficients(sigma, m):
         raise RuntimeError(f"hermite coefficients overflow at sigma={sigma}")
     log_half = math.log(sigma / 2.0)
     for n in range(m + 1):
-        log_mag = n * log_half - log_gamma(n + 1.0) + lead
+        log_mag = n * log_half - math.lgamma(n + 1.0) + lead
         if log_mag < -745.0:
             continue
         c[n] = (1.0 if n % 2 == 0 else -1.0) * math.exp(log_mag)
@@ -268,9 +268,6 @@ def laguerre_coefficients(sigma, m):
     """Heat-weight Laguerre coefficients sigma^n / (sigma+1)^(n+1)."""
     _check_sigma_degree(sigma, m)
     c = np.zeros(m + 1)
-    if sigma == 0.0:
-        c[0] = 1.0
-        return ExpansionCoefficients(PolynomialFamily.laguerre(), 0.0, c)
     ratio = sigma / (sigma + 1.0)
     val = 1.0 / (sigma + 1.0)
     for n in range(m + 1):
@@ -291,13 +288,11 @@ def heat_coefficients(family, sigma, m=None):
     unbounded on the spectrum: there m=None means degree 1000 and no bound is
     claimed.
     """
+    if family.scaled and family.b is None:
+        raise ValueError(f"{family.kind} heat coefficients need the domain scale b")
     if family.kind == "chebyshev":
-        if family.b is None:
-            raise ValueError("chebyshev heat coefficients need the domain scale b")
         return chebyshev_coefficients(sigma, family.b, m)
     if family.kind == "jacobi":
-        if family.b is None:
-            raise ValueError("jacobi heat coefficients need the domain scale b")
         return jacobi_coefficients(sigma, family.b, family.alpha, family.beta, m)
     m = _UNSCALED_DEGREE if m is None else m
     if family.kind == "hermite":
@@ -310,16 +305,16 @@ def _jacobi_norm_log(alpha, beta, n):
     if n == 0:
         return (
             (alpha + beta + 1.0) * math.log(2.0)
-            + log_gamma(alpha + 1.0)
-            + log_gamma(beta + 1.0)
-            - log_gamma(alpha + beta + 2.0)
+            + math.lgamma(alpha + 1.0)
+            + math.lgamma(beta + 1.0)
+            - math.lgamma(alpha + beta + 2.0)
         )
     return (
         (alpha + beta + 1.0) * math.log(2.0)
-        + log_gamma(n + alpha + 1.0)
-        + log_gamma(n + beta + 1.0)
-        - log_gamma(n + alpha + beta + 1.0)
-        - log_gamma(n + 1.0)
+        + math.lgamma(n + alpha + 1.0)
+        + math.lgamma(n + beta + 1.0)
+        - math.lgamma(n + alpha + beta + 1.0)
+        - math.lgamma(n + 1.0)
         - math.log(2.0 * n + alpha + beta + 1.0)
     )
 
@@ -327,7 +322,7 @@ def _jacobi_norm_log(alpha, beta, n):
 def _eval_weight(weight, lam):
     vals = np.asarray(weight(lam), dtype=float)
     if vals.shape != lam.shape:
-        vals = np.array([float(weight(v)) for v in lam])
+        raise ValueError(f"weight must map {lam.shape} nodes to {lam.shape} values, got {vals.shape}")
     return vals
 
 

@@ -58,13 +58,35 @@ def write_field_csv(path, values):
         fh.write((_FMT + "\n") * values.size % tuple(values.tolist()))
 
 
+def _bad_line(path, lines, first, kind, width=None):
+    """ValueError naming the first bad non-blank line from lines[first] on.
+
+    A line is bad when a value does not parse or, given a width, its column
+    count differs. Only the error path rescans, so the fast path keeps no
+    line numbers.
+    """
+    for lineno, line in enumerate(lines[first:], start=first + 1):
+        if not line.strip():
+            continue
+        tokens = [line] if width is None else line.split(",")
+        try:
+            [float(tok) for tok in tokens]
+        except ValueError as exc:
+            return ValueError(f"{path}:{lineno}: malformed {kind}: {exc}")
+        if width is not None and len(tokens) != width:
+            return ValueError(
+                f"{path}:{lineno}: ragged {kind}: {len(tokens)} columns, header has {width}"
+            )
+    return ValueError(f"{path}: {kind} has no data rows")
+
+
 def read_field_csv(path):
     with open(path) as fh:
-        try:
-            vals = [float(line) for line in fh if line.strip()]
-        except ValueError as exc:
-            raise ValueError(f"{path}: malformed field CSV: {exc}") from None
-    return np.asarray(vals, dtype=float)
+        lines = fh.readlines()
+    try:
+        return np.asarray([float(line) for line in lines if line.strip()], dtype=float)
+    except ValueError:
+        raise _bad_line(path, lines, 0, "field CSV") from None
 
 
 def write_stack_csv(path, stack):
@@ -77,16 +99,17 @@ def write_stack_csv(path, stack):
 
 def read_stack_csv(path, axis_meaning="scales"):
     with open(path) as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    if not lines:
+        lines = fh.readlines()
+    header = next((i for i, line in enumerate(lines) if line.strip()), None)
+    if header is None:
         raise ValueError(f"{path}: empty stack CSV")
-    labels = lines[0].split(",")
+    labels = lines[header].strip().split(",")
     try:
         values = np.asarray(
-            [[float(tok) for tok in line.split(",")] for line in lines[1:]]
+            [[float(tok) for tok in line.split(",")] for line in lines[header + 1 :] if line.strip()]
         )
-    except ValueError as exc:
-        raise ValueError(f"{path}: malformed stack CSV: {exc}") from None
-    if values.ndim != 2 or values.shape[1] != len(labels):
-        raise ValueError(f"{path}: ragged stack CSV")
+    except ValueError:
+        values = None  # a bad number or a ragged row; _bad_line tells which
+    if values is None or values.ndim != 2 or values.shape[1] != len(labels):
+        raise _bad_line(path, lines, header + 1, "stack CSV", len(labels))
     return FieldStack(values, labels, axis_meaning)

@@ -12,6 +12,8 @@ import warnings
 import numpy as np
 from scipy import sparse
 
+from .fields import write_field_csv
+
 # An angle counts as obtuse only when its cosine is clearly negative; the
 # tolerance band around 90 degrees is treated as nonobtuse.
 _OBTUSE_COS = -1e-12
@@ -30,8 +32,10 @@ class TriangleMesh:
         Vertex-index triples. Every index must be in range, no face may
         repeat a vertex, and every vertex must be referenced by a face.
 
-    Faces whose area falls below 1e-14 times their squared longest edge are
-    recorded in ``degenerate_faces``; operator assembly refuses such meshes.
+    Faces whose area is at most 1e-14 times their squared longest edge, which
+    includes faces whose corners coincide, are recorded in
+    ``degenerate_faces``; operator assembly refuses such meshes. The per-face
+    geometry that assembly reads is computed once, at construction.
     """
 
     def __init__(self, vertices, faces):
@@ -66,10 +70,9 @@ class TriangleMesh:
             raise ValueError(f"isolated vertices not allowed: {isolated.tolist()}")
         self.vertices.setflags(write=False)
         self.faces.setflags(write=False)
-        areas = self.face_areas()
-        max_edge_sq = self._edge_lengths().max(axis=1) ** 2
+        self._geometry()
         self.degenerate_faces = np.nonzero(
-            areas < _DEGENERATE_REL_AREA * max_edge_sq
+            self._areas <= _DEGENERATE_REL_AREA * self._edges.max(axis=1) ** 2
         )[0]
 
     @property
@@ -80,60 +83,51 @@ class TriangleMesh:
     def n_faces(self):
         return len(self.faces)
 
-    def _corner_vectors(self):
-        """Per-face corner points (p0, p1, p2)."""
-        v = self.vertices
-        f = self.faces
-        return v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
+    def _geometry(self):
+        """Per-face geometry, column c for corner c: everything assembly reads.
 
-    def _edge_lengths(self):
-        """Per-face edge lengths, column c = edge opposite corner c."""
-        p0, p1, p2 = self._corner_vectors()
-        return np.column_stack(
-            [
-                np.linalg.norm(p1 - p2, axis=1),
-                np.linalg.norm(p2 - p0, axis=1),
-                np.linalg.norm(p0 - p1, axis=1),
-            ]
-        )
+        _edges: length of the edge opposite the corner; _areas: Heron's formula
+        on those lengths; _cots: cot of the corner angle, clamped to
+        +-_COT_CLAMP (NaN at a zero-length edge counts as the clamp);
+        _obtuse: the corner angle's cosine is below _OBTUSE_COS.
+        """
+        v, f = self.vertices, self.faces
+        d = [v[f[:, (k + 2) % 3]] - v[f[:, (k + 1) % 3]] for k in range(3)]  # edge opposite k
+        el = np.column_stack([np.linalg.norm(e, axis=1) for e in d])
+        a, b, c = el[:, 0], el[:, 1], el[:, 2]
+        s = 0.5 * (a + b + c)
+        areas = np.sqrt(np.maximum(s * (s - a) * (s - b) * (s - c), 0.0))
+        cos, cot = np.empty_like(el), np.empty_like(el)
+        for k in range(3):
+            # corner k sits between the edge vectors p_{k+1} - p_k and p_{k+2} - p_k
+            nxt, prv = (k + 1) % 3, (k + 2) % 3
+            u, w = d[prv], -d[nxt]
+            dot = np.einsum("ij,ij->i", u, w)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                cos[:, k] = dot / (el[:, prv] * el[:, nxt])
+                cot[:, k] = dot / np.linalg.norm(np.cross(u, w), axis=1)
+        self._edges, self._areas, self._obtuse = el, areas, cos < _OBTUSE_COS
+        self._cots = np.clip(np.nan_to_num(cot, nan=_COT_CLAMP), -_COT_CLAMP, _COT_CLAMP)
+        for arr in (self._edges, self._areas, self._obtuse, self._cots):
+            arr.setflags(write=False)
 
     def face_areas(self):
         """Heron's formula from the three edge lengths of each face."""
-        el = self._edge_lengths()
-        a, b, c = el[:, 0], el[:, 1], el[:, 2]
-        s = 0.5 * (a + b + c)
-        rad = np.maximum(s * (s - a) * (s - b) * (s - c), 0.0)
-        return np.sqrt(rad)
-
-    def _corner_cotangents(self):
-        """cot of the interior angle at each face corner, clamped.
-
-        Also returns the cosine of each corner angle (for obtuse tests).
-        """
-        p0, p1, p2 = self._corner_vectors()
-        cots = np.empty((self.n_faces, 3))
-        coss = np.empty((self.n_faces, 3))
-        for c, (a, b) in enumerate([(p1 - p0, p2 - p0), (p2 - p1, p0 - p1), (p0 - p2, p1 - p2)]):
-            dot = np.einsum("ij,ij->i", a, b)
-            cross = np.linalg.norm(np.cross(a, b), axis=1)
-            coss[:, c] = dot / (np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                cot = dot / cross
-            cots[:, c] = np.clip(np.nan_to_num(cot, nan=_COT_CLAMP), -_COT_CLAMP, _COT_CLAMP)
-        return cots, coss
+        return self._areas
 
 
 class LBOperator:
     """Discrete Laplace-Beltrami operator: stiffness C and vertex areas A.
 
     C is symmetric sparse (CSR) with zero row sums; A is strictly positive.
-    Instances are immutable apart from what is lazily cached on them: the
-    spectral estimate (lambda_max_hint), the bound (gershgorin_bound) and the
-    matrix the expansion recurrence runs on (recurrence_matrix, a pair
-    (b, X) with X = (2/b) A^-1 C - I, or A^-1 C for b None).
+    Instances are immutable apart from three caches the expansion layer fills
+    on first use: the Lanczos estimate of the largest eigenvalue
+    (lambda_max_hint), the Gershgorin bound (gershgorin_bound) and the matrix
+    the recurrence runs on (recurrence_matrix, a pair (b, X) with
+    X = (2/b) A^-1 C - I, or A^-1 C for b None).
     """
 
-    def __init__(self, C, A, lambda_max_hint=None):
+    def __init__(self, C, A):
         self.C = C.tocsr()
         self.A = np.asarray(A, dtype=float)
         if self.A.ndim != 1 or self.C.shape != (len(self.A), len(self.A)):
@@ -141,7 +135,7 @@ class LBOperator:
         if not np.all(self.A > 0):
             raise ValueError("vertex areas must be strictly positive")
         self.A.setflags(write=False)
-        self.lambda_max_hint = lambda_max_hint
+        self.lambda_max_hint = None
         self.gershgorin_bound = None
         self.recurrence_matrix = None
 
@@ -180,8 +174,7 @@ def cotan_matrix(mesh):
     if bad.any():
         k = np.argmax(bad)
         raise ValueError(f"non-manifold edge {divmod(int(keys[k]), n)} shared by {counts[k]} faces")
-    cots, _ = mesh._corner_cotangents()
-    vals = 0.5 * np.concatenate([cots[:, 0], cots[:, 1], cots[:, 2]])
+    vals = 0.5 * mesh._cots.T.ravel()
     upper = sparse.coo_matrix((vals, (lo, hi)), shape=(n, n)).tocsr()
     upper.sum_duplicates()
     off = -(upper + upper.T)
@@ -208,9 +201,7 @@ def vertex_areas(mesh, scheme="mixed"):
         np.add.at(out, f.ravel(), np.repeat(areas / 3.0, 3))
         return out
 
-    cots, coss = mesh._corner_cotangents()
-    el = mesh._edge_lengths()
-    obtuse = coss < _OBTUSE_COS
+    el, cots, obtuse = mesh._edges, mesh._cots, mesh._obtuse
     any_obtuse = obtuse.any(axis=1)
 
     # Voronoi share of a nonobtuse triangle at corner c: for each of the two
@@ -258,11 +249,10 @@ def export_operator(op, path_c, path_a):
     with open(path_c, "w") as fh:
         fh.write("%%MatrixMarket matrix coordinate real symmetric\n")
         fh.write(f"{op.C.shape[0]} {op.C.shape[1]} {coo.nnz}\n")
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{i + 1} {j + 1} {v:.16e}\n")
-    with open(path_a, "w") as fh:
-        for v in op.A:
-            fh.write(f"{v:.16e}\n")
+        # one float row per entry; "%d" prints the exactly held 1-based indices
+        rows = np.column_stack([coo.row + 1, coo.col + 1, coo.data])
+        fh.write("%d %d %.16e\n" * coo.nnz % tuple(rows.ravel().tolist()))
+    write_field_csv(path_a, op.A)
 
 
 def _tokens(fh):
@@ -426,9 +416,6 @@ def load_mesh(path, format=None):
 def save_off(mesh, path):
     """Write a mesh as OFF (17 significant digits, order preserved)."""
     with open(path, "w") as fh:
-        fh.write("OFF\n")
-        fh.write(f"{mesh.n_vertices} {mesh.n_faces} 0\n")
-        for x, y, z in mesh.vertices:
-            fh.write(f"{x:.16e} {y:.16e} {z:.16e}\n")
-        for a, b, c in mesh.faces:
-            fh.write(f"3 {a} {b} {c}\n")
+        fh.write(f"OFF\n{mesh.n_vertices} {mesh.n_faces} 0\n")
+        fh.write("%.16e %.16e %.16e\n" * mesh.n_vertices % tuple(mesh.vertices.ravel().tolist()))
+        fh.write("3 %d %d %d\n" * mesh.n_faces % tuple(mesh.faces.ravel().tolist()))

@@ -3,8 +3,7 @@
 heat_smooth is the production path: truncated polynomial expansion of the
 heat weight applied through sparse matvecs. fem_euler_smooth (explicit
 forward Euler) and eigen_smooth (dense eigenfunction expansion) are the
-reference solvers used for benchmarking and as oracles, and
-cosine_diffusion_1d is an independent 1D oracle for the expansion machinery.
+reference solvers used for benchmarking and as oracles.
 """
 
 import math
@@ -144,33 +143,6 @@ def eigen_smooth(es, op, f, sigma):
     _check_sigma_degree(sigma, None)
     proj = es.eigenvectors.T @ (op.A * f)
     return es.eigenvectors @ (np.exp(-es.eigenvalues * sigma) * proj)
-
-
-def cosine_diffusion_1d(samples, sigma, k_max):
-    """1D heat diffusion on [0, 1] by the weighted cosine series.
-
-    samples live on the uniform inclusive grid; coefficients use trapezoid
-    quadrature against psi_0 = 1, psi_j = sqrt(2) cos(j pi p), and each mode
-    decays by e^(-j^2 pi^2 sigma).
-    """
-    f = np.asarray(samples, dtype=float)
-    if f.ndim != 1 or f.size < 2:
-        raise ValueError("need at least 2 samples on the unit interval")
-    _check_sigma_degree(sigma, None)
-    k_max = int(k_max)
-    if k_max < 0:
-        raise ValueError(f"k_max must be >= 0, got {k_max}")
-    n = f.size
-    p = np.linspace(0.0, 1.0, n)
-    w = np.full(n, 1.0 / (n - 1))
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    j = np.arange(k_max + 1)
-    psi = np.sqrt(2.0) * np.cos(np.outer(j, np.pi * p))
-    psi[0] = 1.0
-    coeffs = psi @ (w * f)
-    decay = np.exp(-(j.astype(float) ** 2) * np.pi**2 * sigma)
-    return psi.T @ (decay * coeffs)
 
 
 def mse(a, b):

@@ -12,9 +12,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import betainc, erfc
 
 from .fields import FieldStack
-from .special import regularized_incomplete_beta
 
 _RIDGE_REL = 1e-10
 _SINGULAR_REL = 1e-12
@@ -58,14 +58,14 @@ def student_t_p_value(t, dof):
     """Two-sided Student-t p-value via the incomplete beta function."""
     t = np.asarray(t, dtype=float)
     x = dof / (dof + t * t)
-    return regularized_incomplete_beta(dof / 2.0, 0.5, x)
+    return betainc(dof / 2.0, 0.5, x)
 
 
 def f_p_value(f, d1, d2):
     """Upper-tail F(d1, d2) p-value via the incomplete beta function."""
     f = np.asarray(f, dtype=float)
     x = d2 / (d2 + d1 * np.maximum(f, 0.0))
-    return regularized_incomplete_beta(d2 / 2.0, d1 / 2.0, x)
+    return betainc(d2 / 2.0, d1 / 2.0, x)
 
 
 def bh_fdr(p_values, q):
@@ -207,8 +207,6 @@ def correlation_map(stack_a, stack_b, paired=True, fdr_q=None):
     r = np.where(flagged, 0.0, np.einsum("ns,ns->n", ca, cb) / denom)
     r = np.clip(r, -1.0, 1.0)
     z = np.arctanh(np.clip(r, -1.0 + 1e-16, 1.0 - 1e-16)) * math.sqrt(n - 3)
-    from scipy.special import erfc
-
     p = erfc(np.abs(z) / math.sqrt(2.0))
     p[flagged] = 1.0
     return _finalize(r, p, (n - 3,), flagged, fdr_q, n, n)
@@ -221,10 +219,12 @@ def write_statmap(statmap, csv_path, json_path):
         if statmap.significant is not None
         else np.zeros(statmap.statistic.size, dtype=bool)
     )
+    n = statmap.statistic.size
+    # one float row per vertex; "%d" prints the exactly held index and flag
+    rows = np.column_stack([np.arange(n), statmap.statistic, statmap.p_values, sig])
     with open(csv_path, "w") as fh:
         fh.write("vertex,stat,p,significant\n")
-        for i, (t, p, s) in enumerate(zip(statmap.statistic, statmap.p_values, sig)):
-            fh.write(f"{i},{t:.16e},{p:.16e},{int(s)}\n")
+        fh.write("%d,%.16e,%.16e,%d\n" * n % tuple(rows.ravel().tolist()))
     sidecar = {
         "dof": list(statmap.dof),
         "fdr_q": statmap.fdr_q,

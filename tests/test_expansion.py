@@ -209,6 +209,14 @@ class TestNumericCoefficients:
         with pytest.raises(ValueError, match="chebyshev/jacobi"):
             numeric_coefficients(lambda lam: lam, PolynomialFamily.hermite(), 5)
 
+    @pytest.mark.parametrize(
+        "family", [PolynomialFamily.chebyshev(b=2.0), PolynomialFamily.jacobi(0.5, 0.5, b=2.0)]
+    )
+    def test_weight_must_be_vectorized(self, family):
+        # a scalar-only weight gives one value for the whole node array
+        with pytest.raises(ValueError, match=r"weight must map \(128,\) nodes .* got \(\)"):
+            numeric_coefficients(lambda lam: 1.0, family, 5)
+
 
 class TestEstimateLambdaMax:
     def test_bracket_against_dense_oracle(self):

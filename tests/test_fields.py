@@ -69,3 +69,32 @@ def test_malformed_csv_errors(tmp_path):
     p2.write_text("a,b\n1.0,2.0\n3.0\n")
     with pytest.raises(ValueError):
         read_stack_csv(p2)
+
+
+def test_ragged_stack_row_names_line_and_counts(tmp_path):
+    p = tmp_path / "ragged.csv"
+    p.write_text("a,b\n1.0,2.0\n\n3.0\n4.0,5.0\n")
+    with pytest.raises(ValueError, match=r"ragged\.csv:4: ragged stack CSV: 1 columns, header has 2$"):
+        read_stack_csv(p)
+
+
+def test_stack_rows_wider_than_header_name_line(tmp_path):
+    # every row agrees with every other, so only the header count shows the fault
+    p = tmp_path / "wide.csv"
+    p.write_text("\na,b\n1.0,2.0,3.0\n4.0,5.0,6.0\n")
+    with pytest.raises(ValueError, match=r"wide\.csv:3: ragged stack CSV: 3 columns, header has 2$"):
+        read_stack_csv(p)
+
+
+def test_bad_field_value_names_line(tmp_path):
+    p = tmp_path / "bad.csv"
+    p.write_text("1.0\n\n2.0\nnot-a-number\n3.0\n")
+    with pytest.raises(ValueError, match=r"bad\.csv:4: malformed field CSV: .*'not-a-number"):
+        read_field_csv(p)
+
+
+def test_bad_stack_value_names_line(tmp_path):
+    p = tmp_path / "bad.csv"
+    p.write_text("a,b\n1.0,2.0\n3.0,x\n")
+    with pytest.raises(ValueError, match=r"bad\.csv:3: malformed stack CSV: .*'x"):
+        read_stack_csv(p)

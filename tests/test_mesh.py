@@ -1,8 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.io
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
 from heatflow.mesh import (
     LBOperator,
@@ -15,8 +19,15 @@ from heatflow.mesh import (
     save_off,
     vertex_areas,
 )
+from heatflow.solvers import heat_smooth
+from heatflow.sphere import icosphere
 
 from conftest import ICOSAHEDRON_OFF, make_grid_mesh
+
+# finite edge values of the writers' byte tests: signed zeros, the smallest
+# subnormal and the largest magnitudes
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1.797e308, -1.797e308, 1.0 / 3.0, -2.5e-300,
+               1.0, 2.0, -3.0, 0.5]
 
 
 def cotan_assembly_oracle(mesh):
@@ -115,6 +126,17 @@ class TestLoadMesh:
         with pytest.warns(RuntimeWarning, match="degenerate"):
             mesh = load_mesh(p)
         assert mesh.degenerate_faces.tolist() == [1]
+
+    def test_save_off_bytes_match_per_row_format(self, tmp_path):
+        verts = np.array(EDGE_VALUES).reshape(-1, 3)
+        faces = np.array([[0, 1, 2], [2, 1, 3]])
+        with np.errstate(over="ignore", invalid="ignore"):  # geometry overflows, not the writer
+            mesh = TriangleMesh(verts, faces)
+        p = tmp_path / "edge.off"
+        save_off(mesh, p)
+        want = "OFF\n4 2 0\n" + "".join(f"{x:.16e} {y:.16e} {z:.16e}\n" for x, y, z in verts)
+        want += "".join(f"3 {a} {b} {c}\n" for a, b, c in faces)
+        assert p.read_text() == want
 
     def test_save_off_roundtrip(self, tmp_path, equilateral_mesh):
         p = tmp_path / "out.off"
@@ -278,7 +300,91 @@ class TestExportOperator:
         A_back = np.array([float(line) for line in pa.read_text().split()])
         np.testing.assert_array_equal(A_back, op.A)
 
+    def test_bytes_match_per_row_format(self, tmp_path):
+        C = sparse.csr_matrix(np.array([[1.797e308, -5e-324], [-5e-324, -0.0]]))
+        op = LBOperator(C, np.array([5e-324, 1.797e308]))
+        pc, pa = tmp_path / "C.mtx", tmp_path / "A.csv"
+        export_operator(op, pc, pa)
+        coo = sparse.tril(op.C).tocoo()
+        rows = "".join(f"{i + 1} {j + 1} {v:.16e}\n" for i, j, v in zip(coo.row, coo.col, coo.data))
+        header = f"%%MatrixMarket matrix coordinate real symmetric\n2 2 {coo.nnz}\n"
+        assert pc.read_text() == header + rows
+        assert pa.read_text() == "".join(f"{v:.16e}\n" for v in op.A)
+
     def test_io_error(self, tmp_path, equilateral_mesh):
         op = assemble_lb_operator(equilateral_mesh)
         with pytest.raises(OSError):
             export_operator(op, tmp_path / "nodir" / "C.mtx", tmp_path / "A.csv")
+
+
+@st.composite
+def irregular_meshes(draw):
+    """(vertices, faces): a bumpy grid patch, or a jittered icosphere with holes."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        mesh = make_grid_mesh(
+            draw(st.integers(3, 7)), draw(st.integers(3, 7)),
+            spacing=draw(st.floats(0.2, 2.0)), bump=draw(st.floats(0.0, 1.0)),
+        )
+        return mesh.vertices, mesh.faces
+    base = icosphere(2)
+    # every vertex of icosphere(2) has at least 5 faces, so dropping 3 isolates none
+    holes = draw(st.sets(st.integers(0, base.n_faces - 1), min_size=1, max_size=3))
+    faces = np.delete(base.faces, sorted(holes), axis=0)
+    return base.vertices + 0.03 * rng.standard_normal(base.vertices.shape), faces
+
+
+def _assembled(verts, faces):
+    op = assemble_lb_operator(TriangleMesh(verts, faces))
+    return op.C.toarray(), op.A
+
+
+def _assert_same_operator(got, want):
+    (C, A), (C0, A0) = got, want
+    np.testing.assert_allclose(C, C0, rtol=1e-14, atol=1e-14 * np.abs(C0).max())
+    np.testing.assert_allclose(A, A0, rtol=1e-14)
+
+
+class TestGeometryProperties:
+    """The one-pass per-face geometry, through the assembled C and A."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(mesh=irregular_meshes(), seed=st.integers(0, 2**32 - 1))
+    def test_vertex_permutation_permutes_operator(self, mesh, seed):
+        verts, faces = mesh
+        perm = np.random.default_rng(seed).permutation(len(verts))
+        inverse = np.argsort(perm)  # new index of each old vertex
+        C0, A0 = _assembled(verts, faces)
+        _assert_same_operator(_assembled(verts[perm], inverse[faces]), (C0[perm][:, perm], A0[perm]))
+
+    @settings(max_examples=25, deadline=None)
+    @given(mesh=irregular_meshes(), seed=st.integers(0, 2**32 - 1))
+    def test_face_order_and_corner_rotation_leave_operator(self, mesh, seed):
+        verts, faces = mesh
+        rng = np.random.default_rng(seed)
+        shuffled = faces[rng.permutation(len(faces))]
+        rotate = rng.random(len(faces)) < 0.5
+        shuffled[rotate] = shuffled[rotate][:, [1, 2, 0]]
+        _assert_same_operator(_assembled(verts, shuffled), _assembled(verts, faces))
+
+    @settings(max_examples=25, deadline=None)
+    @given(mesh=irregular_meshes(), sigma=st.floats(1e-3, 0.5), seed=st.integers(0, 2**32 - 1))
+    def test_heat_smooth_conserves_mass(self, mesh, sigma, seed):
+        op = assemble_lb_operator(TriangleMesh(*mesh))
+        f = np.random.default_rng(seed).standard_normal(op.n_vertices)
+        g = heat_smooth(op, f, sigma)
+        assert abs(op.A @ g - op.A @ f) <= 1e-12 * (op.A @ np.abs(f))
+
+    def test_zero_length_edges_recorded_without_warnings(self):
+        base = make_grid_mesh(5, 5, bump=0.3)
+        verts = base.vertices.copy()
+        verts[6] = verts[7]  # grid neighbours: the faces holding both get a zero-length edge
+        face = base.faces[-1]
+        verts[face[1:]] = verts[face[0]]  # one face whose three corners coincide
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mesh = TriangleMesh(verts, base.faces)
+        collapsed = np.isin(base.faces, [6, 7]).sum(axis=1) == 2
+        collapsed[-1] = True
+        assert set(np.flatnonzero(collapsed)) <= set(mesh.degenerate_faces.tolist())
+        assert mesh.n_faces - 1 in mesh.degenerate_faces

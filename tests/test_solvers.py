@@ -4,12 +4,11 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from heatflow.expansion import PolynomialFamily, estimate_lambda_max
+from heatflow.expansion import PolynomialFamily, _check_sigma_degree, estimate_lambda_max
 from heatflow.mesh import assemble_lb_operator
 from heatflow.sphere import icosphere
 from heatflow.solvers import (
     EigenSystem,
-    cosine_diffusion_1d,
     eigen_reference,
     eigen_smooth,
     fem_euler_smooth,
@@ -215,6 +214,33 @@ class TestEigenSmooth:
         es = EigenSystem(np.array([0.0]), np.ones((3, 1)))
         with pytest.raises(ValueError):
             eigen_smooth(es, grid_op, np.ones(grid_op.n_vertices), 0.1)
+
+
+def cosine_diffusion_1d(samples, sigma, k_max):
+    """1D heat diffusion on [0, 1] by the weighted cosine series: a test-only oracle.
+
+    samples live on the uniform inclusive grid; coefficients use trapezoid
+    quadrature against psi_0 = 1, psi_j = sqrt(2) cos(j pi p), and each mode
+    decays by e^(-j^2 pi^2 sigma).
+    """
+    f = np.asarray(samples, dtype=float)
+    if f.ndim != 1 or f.size < 2:
+        raise ValueError("need at least 2 samples on the unit interval")
+    _check_sigma_degree(sigma, None)
+    k_max = int(k_max)
+    if k_max < 0:
+        raise ValueError(f"k_max must be >= 0, got {k_max}")
+    n = f.size
+    p = np.linspace(0.0, 1.0, n)
+    w = np.full(n, 1.0 / (n - 1))
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    j = np.arange(k_max + 1)
+    psi = np.sqrt(2.0) * np.cos(np.outer(j, np.pi * p))
+    psi[0] = 1.0
+    coeffs = psi @ (w * f)
+    decay = np.exp(-(j.astype(float) ** 2) * np.pi**2 * sigma)
+    return psi.T @ (decay * coeffs)
 
 
 class TestCosineDiffusion1D:

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import betainc
 
 from heatflow.expansion import chebyshev_coefficients
-from heatflow.special import kummer_1f1, log_gamma, regularized_incomplete_beta
+from heatflow.special import kummer_1f1_log
 
 mp.mp.dps = 40
 
@@ -88,6 +89,12 @@ class TestScaledBesselI:
             bessel_factor(3, -0.5)
 
 
+def kummer_1f1(a, b, z):
+    """1F1(a; b; z) as sign * exp(logabs) from the log-space series."""
+    sign, logabs = kummer_1f1_log(a, b, z)
+    return sign * math.exp(logabs)
+
+
 class TestKummer1F1:
     def test_value_at_zero(self):
         assert kummer_1f1(1.5, 3.0, 0.0) == pytest.approx(1.0, rel=1e-14)
@@ -125,46 +132,40 @@ class TestKummer1F1:
 
     def test_domain_error_on_nonpositive_integer_b(self):
         with pytest.raises(ValueError):
-            kummer_1f1(1.0, 0.0, 1.0)
+            kummer_1f1_log(1.0, 0.0, 1.0)
         with pytest.raises(ValueError):
-            kummer_1f1(1.0, -3.0, 1.0)
-
-    def test_overflow_reported(self):
-        with pytest.raises(RuntimeError):
-            kummer_1f1(5.0, 1.5, 5000.0)
+            kummer_1f1_log(1.0, -3.0, 1.0)
 
 
 class TestLogGamma:
+    """math.lgamma, which the expansion layer calls directly."""
+
     def test_known_values(self):
-        assert log_gamma(1.0) == 0.0
-        assert log_gamma(0.5) == pytest.approx(0.5723649429247001, rel=1e-13)
-        assert log_gamma(11.0) == pytest.approx(15.104412573075516, rel=1e-13)
+        assert math.lgamma(1.0) == 0.0
+        assert math.lgamma(0.5) == pytest.approx(0.5723649429247001, rel=1e-13)
+        assert math.lgamma(11.0) == pytest.approx(15.104412573075516, rel=1e-13)
 
     @settings(max_examples=100, deadline=None)
     @given(x=st.floats(min_value=1e-3, max_value=1e6))
     def test_recurrence(self, x):
-        assert log_gamma(x + 1.0) == pytest.approx(
-            log_gamma(x) + math.log(x), abs=1e-11 * max(1.0, abs(log_gamma(x)))
+        assert math.lgamma(x + 1.0) == pytest.approx(
+            math.lgamma(x) + math.log(x), abs=1e-11 * max(1.0, abs(math.lgamma(x)))
         )
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            log_gamma(0.0)
-        with pytest.raises(ValueError):
-            log_gamma(-2.5)
 
 
 class TestRegularizedIncompleteBeta:
+    """scipy.special.betainc, which the stats p-values call directly."""
+
     def test_endpoints(self):
-        assert regularized_incomplete_beta(2.0, 3.0, 0.0) == 0.0
-        assert regularized_incomplete_beta(2.0, 3.0, 1.0) == 1.0
+        assert betainc(2.0, 3.0, 0.0) == 0.0
+        assert betainc(2.0, 3.0, 1.0) == 1.0
 
     def test_uniform_case(self):
-        assert regularized_incomplete_beta(1.0, 1.0, 0.3) == pytest.approx(0.3, abs=1e-14)
+        assert betainc(1.0, 1.0, 0.3) == pytest.approx(0.3, abs=1e-14)
 
     def test_monotone_in_x(self):
         xs = np.linspace(0, 1, 51)
-        vals = regularized_incomplete_beta(2.5, 0.7, xs)
+        vals = betainc(2.5, 0.7, xs)
         assert np.all(np.diff(vals) >= 0)
 
     @settings(max_examples=60, deadline=None)
@@ -177,12 +178,6 @@ class TestRegularizedIncompleteBeta:
         x=st.floats(min_value=0.01, max_value=0.99),
     )
     def test_symmetry(self, a, b, x):
-        lhs = regularized_incomplete_beta(a, b, x)
-        rhs = regularized_incomplete_beta(b, a, 1.0 - x)
+        lhs = betainc(a, b, x)
+        rhs = betainc(b, a, 1.0 - x)
         assert lhs + rhs == pytest.approx(1.0, abs=1e-10)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            regularized_incomplete_beta(-1.0, 1.0, 0.5)
-        with pytest.raises(ValueError):
-            regularized_incomplete_beta(1.0, 1.0, 1.5)

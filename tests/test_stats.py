@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +6,7 @@ from hypothesis import strategies as st
 
 from heatflow.fields import FieldStack
 from heatflow.stats import (
+    StatMap,
     bh_fdr,
     correlation_map,
     f_p_value,
@@ -232,6 +234,20 @@ class TestPValueHelpers:
             student_t_p_value(t, dof), rel=1e-12
         )
 
+    @pytest.mark.parametrize("t, dof", [(0.3, 1), (-2.5, 4), (1.96, 30), (7.0, 12), (40.0, 200)])
+    def test_student_t_against_mpmath_betainc(self, t, dof):
+        with mp.workdps(40):
+            x = mp.mpf(dof) / (dof + mp.mpf(t) ** 2)
+            want = float(mp.betainc(mp.mpf(dof) / 2, 0.5, 0, x, regularized=True))
+        assert student_t_p_value(t, dof) == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("f, d1, d2", [(0.5, 1, 5), (2.0, 3, 20), (4.7, 10, 15), (30.0, 2, 100)])
+    def test_f_against_mpmath_betainc(self, f, d1, d2):
+        with mp.workdps(40):
+            x = mp.mpf(d2) / (d2 + d1 * mp.mpf(f))
+            want = float(mp.betainc(mp.mpf(d2) / 2, mp.mpf(d1) / 2, 0, x, regularized=True))
+        assert f_p_value(f, d1, d2) == pytest.approx(want, rel=1e-10)
+
 
 class TestStatMapIo:
     def test_csv_and_sidecar(self, tmp_path):
@@ -253,3 +269,18 @@ class TestStatMapIo:
         assert sidecar["n_a"] == 5 and sidecar["n_b"] == 5
         if out.significant.any():
             assert sidecar["min_rejected_stat"] is not None
+
+
+EDGE_STATS = [0.0, -0.0, 5e-324, -5e-324, 1.797e308, -1.797e308, 1.0 / 3.0, -2.5e-300]
+
+
+def test_statmap_csv_bytes_match_per_row_format(tmp_path):
+    # p = 0 and 1 are the p-value extremes; every other p repeats a middle value
+    p = np.array([0.0, 1.0, 0.5, 1e-300, 0.25, 1.0, 0.0, 0.125])
+    sig = np.array([True, False, True, True, False, False, True, False])
+    statmap = StatMap(np.array(EDGE_STATS), p, (3,), significant=sig)
+    write_statmap(statmap, tmp_path / "m.csv", tmp_path / "m.json")
+    rows = "".join(
+        f"{i},{t:.16e},{q:.16e},{int(s)}\n" for i, (t, q, s) in enumerate(zip(EDGE_STATS, p, sig))
+    )
+    assert (tmp_path / "m.csv").read_text() == "vertex,stat,p,significant\n" + rows
