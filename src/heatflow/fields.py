@@ -3,8 +3,12 @@
 A field is a plain 1-d float array aligned to a mesh. A FieldStack holds one
 field per column, either one per subject or one per scale. All CSV values
 carry 17 significant digits so write/read round-trips are lossless.
+read_rows, the block reader behind the CSV readers, also reads the vertex
+and face blocks of OFF and PLY meshes.
 """
 
+import itertools
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,35 +62,77 @@ def write_field_csv(path, values):
         fh.write((_FMT + "\n") * values.size % tuple(values.tolist()))
 
 
-def _bad_line(path, lines, first, kind, width=None):
-    """ValueError naming the first bad non-blank line from lines[first] on.
+def _data_lines(path, start, comments):
+    """(line number, text) of the lines after line `start` that hold data, as
+    np.loadtxt sees them: comments cut, blank lines skipped."""
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            text = (line.split(comments, 1)[0] if comments else line).strip()
+            if lineno > start and text:
+                yield lineno, text
 
-    A line is bad when a value does not parse or, given a width, its column
-    count differs. Only the error path rescans, so the fast path keeps no
-    line numbers.
+
+def data_line(path, start, row, comments=None):
+    """Line number of data row `row` (0-based) after line `start`."""
+    return next(itertools.islice(_data_lines(path, start, comments), row, None))[0]
+
+
+def read_rows(fh, path, kind, start, rows=None, *, skip=0, usecols=None, width=None,
+              dtype=float, delimiter=None, comments=None):
+    """The next `rows` rows of the open file fh (None: all left) as one 2-d np.loadtxt array.
+
+    usecols keeps some columns and ignores any further ones; width fixes the
+    column count; without either each line is one value. Only when loadtxt
+    fails, or finds fewer rows than declared or none at all, is the file
+    rescanned from line `start`, past `skip` data rows, to name the bad line.
     """
-    for lineno, line in enumerate(lines[first:], start=first + 1):
-        if not line.strip():
+    error = None
+    try:
+        with warnings.catch_warnings():
+            # numpy >= 1.23 does not count blank or comment lines towards
+            # max_rows, and warns that it does not
+            warnings.simplefilter("ignore", UserWarning)
+            arr = np.loadtxt(fh, dtype=dtype, comments=comments, delimiter=delimiter,
+                             usecols=usecols, max_rows=rows, ndmin=2)
+    except ValueError as exc:
+        error = exc
+    else:
+        complete = len(arr) > 0 if rows is None else len(arr) == rows
+        if complete and (usecols is not None or arr.shape[1] == (width or 1)):
+            return arr
+    found, last = -skip, start
+    for lineno, text in _data_lines(path, start, comments):
+        if found == rows:
+            break
+        found, last = found + 1, lineno
+        if found <= 0:
             continue
-        tokens = [line] if width is None else line.split(",")
+        tokens = text.split(delimiter) if usecols or width else [text]
         try:
-            [float(tok) for tok in tokens]
+            [dtype(tokens[c]) for c in usecols or range(len(tokens))]
+        except IndexError:
+            raise ValueError(
+                f"{path}:{lineno}: malformed {kind}: {len(tokens)} columns, need {max(usecols) + 1}"
+            ) from None
         except ValueError as exc:
-            return ValueError(f"{path}:{lineno}: malformed {kind}: {exc}")
+            raise ValueError(f"{path}:{lineno}: malformed {kind}: {exc}") from None
         if width is not None and len(tokens) != width:
-            return ValueError(
+            raise ValueError(
                 f"{path}:{lineno}: ragged {kind}: {len(tokens)} columns, header has {width}"
             )
-    return ValueError(f"{path}: {kind} has no data rows")
+    if rows is not None and found < rows:
+        raise ValueError(
+            f"{path}: truncated file: expected {rows} {kind}, found {found}; "
+            f"last line read was line {last}"
+        )
+    if found <= 0:
+        raise ValueError(f"{path}: {kind} has no data rows")
+    raise ValueError(f"{path}: malformed {kind}: {error}")  # a value loadtxt refuses, Python reads
 
 
 def read_field_csv(path):
     with open(path) as fh:
-        lines = fh.readlines()
-    try:
-        return np.asarray([float(line) for line in lines if line.strip()], dtype=float)
-    except ValueError:
-        raise _bad_line(path, lines, 0, "field CSV") from None
+        return read_rows(fh, path, "field CSV", 0, delimiter=",").ravel()
 
 
 def write_stack_csv(path, stack):
@@ -99,17 +145,11 @@ def write_stack_csv(path, stack):
 
 def read_stack_csv(path, axis_meaning="scales"):
     with open(path) as fh:
-        lines = fh.readlines()
-    header = next((i for i, line in enumerate(lines) if line.strip()), None)
-    if header is None:
-        raise ValueError(f"{path}: empty stack CSV")
-    labels = lines[header].strip().split(",")
-    try:
-        values = np.asarray(
-            [[float(tok) for tok in line.split(",")] for line in lines[header + 1 :] if line.strip()]
-        )
-    except ValueError:
-        values = None  # a bad number or a ragged row; _bad_line tells which
-    if values is None or values.ndim != 2 or values.shape[1] != len(labels):
-        raise _bad_line(path, lines, header + 1, "stack CSV", len(labels))
+        for header, line in enumerate(fh, start=1):
+            if line.strip():
+                break
+        else:
+            raise ValueError(f"{path}: empty stack CSV")
+        labels = line.strip().split(",")
+        values = read_rows(fh, path, "stack CSV", header, width=len(labels), delimiter=",")
     return FieldStack(values, labels, axis_meaning)

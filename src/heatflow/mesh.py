@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 from scipy import sparse
 
-from .fields import write_field_csv
+from .fields import data_line, read_rows, write_field_csv
 
 # An angle counts as obtuse only when its cosine is clearly negative; the
 # tolerance band around 90 degrees is treated as nonobtuse.
@@ -33,9 +33,10 @@ class TriangleMesh:
         repeat a vertex, and every vertex must be referenced by a face.
 
     Faces whose area is at most 1e-14 times their squared longest edge, which
-    includes faces whose corners coincide, are recorded in
-    ``degenerate_faces``; operator assembly refuses such meshes. The per-face
-    geometry that assembly reads is computed once, at construction.
+    includes faces whose corners coincide, and faces whose geometry overflows
+    to inf or NaN are recorded in ``degenerate_faces``; operator assembly
+    refuses such meshes. The per-face geometry that assembly reads is
+    computed once, at construction.
     """
 
     def __init__(self, vertices, faces):
@@ -72,7 +73,7 @@ class TriangleMesh:
         self.faces.setflags(write=False)
         self._geometry()
         self.degenerate_faces = np.nonzero(
-            self._areas <= _DEGENERATE_REL_AREA * self._edges.max(axis=1) ** 2
+            ~(self._areas > _DEGENERATE_REL_AREA * self._edges.max(axis=1) ** 2)
         )[0]
 
     @property
@@ -147,7 +148,7 @@ class LBOperator:
 def _require_clean(mesh):
     if len(mesh.degenerate_faces):
         raise ValueError(
-            f"degenerate faces (area < {_DEGENERATE_REL_AREA} * max edge^2): "
+            f"degenerate or non-finite faces (area < {_DEGENERATE_REL_AREA} * max edge^2): "
             f"{mesh.degenerate_faces.tolist()}"
         )
 
@@ -255,130 +256,87 @@ def export_operator(op, path_c, path_a):
     write_field_csv(path_a, op.A)
 
 
-def _tokens(fh):
-    """Yield (line_number, token_list) for non-blank, non-comment lines."""
-    for lineno, raw in enumerate(fh, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line.split()
+def _header_tokens(fh, path, lineno, comments, expected):
+    """(line number, tokens) of the next line of fh after line `lineno` that holds any."""
+    for n, line in enumerate(fh, start=lineno + 1):
+        tokens = line.split(comments, 1)[0].split()
+        if tokens:
+            return n, tokens
+    raise ValueError(f"{path}: truncated file: expected {expected}; last line read was line {lineno}")
 
 
 def _parse_off(fh, path):
-    stream = _tokens(fh)
-    try:
-        lineno, tok = next(stream)
-    except StopIteration:
-        raise ValueError(f"{path}: empty OFF file") from None
+    lineno, tok = _header_tokens(fh, path, 0, "#", "an OFF header")
     if tok[0].upper() != "OFF":
         raise ValueError(f"{path}:{lineno}: expected OFF header, got {tok[0]!r}")
-
-    def truncated(expected):
-        return ValueError(
-            f"{path}: truncated OFF file: expected {expected}; last line read was line {lineno}"
-        )
-
-    if len(tok) >= 4:
-        counts = tok[1:4]
-    else:
-        try:
-            lineno, counts = next(stream)
-        except StopIteration:
-            raise truncated("a vertex/face count line") from None
+    counts = tok[1:]
+    if len(counts) < 3:
+        lineno, counts = _header_tokens(fh, path, lineno, "#", "a vertex/face count line")
     try:
         nv, nf = int(counts[0]), int(counts[1])
     except (ValueError, IndexError):
-        raise ValueError(f"{path}:{lineno}: malformed OFF count line") from None
-    verts = np.empty((nv, 3))
-    try:
-        for i in range(nv):
-            lineno, tok = next(stream)
-            try:
-                verts[i] = [float(t) for t in tok[:3]]
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: bad vertex line") from None
-    except StopIteration:
-        raise truncated(f"{nv} vertices, found {i}") from None
-    faces = np.empty((nf, 3), dtype=np.int64)
-    try:
-        for i in range(nf):
-            lineno, tok = next(stream)
-            try:
-                cnt = int(tok[0])
-                idx = [int(t) for t in tok[1 : 1 + cnt]]
-            except (ValueError, IndexError):
-                raise ValueError(f"{path}:{lineno}: bad face line") from None
-            if cnt != 3 or len(idx) != 3:
-                raise ValueError(f"{path}:{lineno}: only triangular faces supported")
-            faces[i] = idx
-    except StopIteration:
-        raise truncated(f"{nf} faces, found {i}") from None
-    return verts, faces
+        nv = nf = -1
+    if nv < 0 or nf < 0:
+        raise ValueError(f"{path}:{lineno}: malformed OFF count line")
+    return _read_body(fh, path, lineno, [("vertex", nv, ["x", "y", "z"]), ("face", nf, [])], "#")
 
 
 def _parse_ply(fh, path):
-    lineno = 0
-
-    def nextline():
-        nonlocal lineno
-        for raw in fh:
-            lineno += 1
-            line = raw.strip()
-            if line and not line.startswith("comment"):
-                return line
-        raise ValueError(f"{path}: truncated PLY file at line {lineno}")
-
-    if nextline() != "ply":
+    lineno, tok = _header_tokens(fh, path, 0, "comment", "the 'ply' magic line")
+    if tok != ["ply"]:
         raise ValueError(f"{path}:{lineno}: missing 'ply' magic line")
-    fmt = nextline()
-    if not fmt.startswith("format ascii"):
-        raise ValueError(f"{path}:{lineno}: only ascii PLY supported, got {fmt!r}")
+    lineno, tok = _header_tokens(fh, path, lineno, "comment", "a format line")
+    if tok[:2] != ["format", "ascii"]:
+        raise ValueError(f"{path}:{lineno}: only ascii PLY supported, got {' '.join(tok)!r}")
     elements = []  # (name, count, [property names]) in declaration order
-    while True:
-        line = nextline()
-        if line == "end_header":
-            break
-        tok = line.split()
+    while tok != ["end_header"]:
+        lineno, tok = _header_tokens(fh, path, lineno, "comment", "end_header")
         if tok[0] == "element":
-            elements.append((tok[1], int(tok[2]), []))
+            try:
+                count = int(tok[2])
+            except (ValueError, IndexError):
+                count = -1
+            if count < 0:
+                raise ValueError(f"{path}:{lineno}: malformed element line")
+            elements.append((tok[1], count, []))
         elif tok[0] == "property":
             if not elements:
                 raise ValueError(f"{path}:{lineno}: property before element")
             elements[-1][2].append(tok[-1])
-    verts = None
-    faces = None
+    return _read_body(fh, path, lineno, elements, "comment")
+
+
+def _read_body(fh, path, start, elements, comments):
+    """Vertices and triangles from the element blocks that follow line `start`.
+
+    elements lists (name, count, property names) in file order; each block
+    is one read_rows call. Only "vertex" (by its x, y, z properties) and
+    "face" (a vertex count of 3, then the indices) are kept.
+    """
+    verts = faces = None
+    skip = 0  # data rows of the blocks before this one
     for name, count, props in elements:
         if name == "vertex":
             try:
-                ix, iy, iz = props.index("x"), props.index("y"), props.index("z")
+                xyz = tuple(props.index(axis) for axis in "xyz")
             except ValueError:
                 raise ValueError(f"{path}: vertex element lacks x/y/z") from None
-            verts = np.empty((count, 3))
-            for i in range(count):
-                tok = nextline().split()
-                try:
-                    verts[i] = float(tok[ix]), float(tok[iy]), float(tok[iz])
-                except (ValueError, IndexError):
-                    raise ValueError(f"{path}:{lineno}: bad vertex line") from None
+            verts = read_rows(fh, path, "vertices", start, count, skip=skip, usecols=xyz,
+                              comments=comments)
         elif name == "face":
-            faces = np.empty((count, 3), dtype=np.int64)
-            for i in range(count):
-                tok = nextline().split()
-                try:
-                    cnt = int(tok[0])
-                    idx = [int(t) for t in tok[1 : 1 + cnt]]
-                except (ValueError, IndexError):
-                    raise ValueError(f"{path}:{lineno}: bad face line") from None
-                if cnt != 3:
-                    raise ValueError(
-                        f"{path}:{lineno}: only triangular faces supported"
-                    )
-                faces[i] = idx
+            faces = read_rows(fh, path, "faces", start, count, skip=skip, usecols=(0, 1, 2, 3),
+                              dtype=int, comments=comments)
+            bad = np.flatnonzero(faces[:, 0] != 3)
+            if bad.size:
+                line = data_line(path, start, skip + bad[0], comments)
+                raise ValueError(f"{path}:{line}: only triangular faces supported")
         else:
-            for _ in range(count):
-                nextline()
+            read_rows(fh, path, f"{name} elements", start, count, skip=skip, usecols=(0,),
+                      dtype=str, comments=comments)
+        skip += count
     if verts is None or faces is None:
         raise ValueError(f"{path}: PLY file lacks vertex or face element")
-    return verts, faces
+    return verts, faces[:, 1:]
 
 
 def load_mesh(path, format=None):

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .expansion import _check_sigma_degree
 from .mesh import TriangleMesh, vertex_areas
 
 _GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
@@ -213,8 +214,7 @@ def spharm_evaluate(coeffs, points):
 
 def spharm_diffuse(coeffs, sigma):
     """Exact heat diffusion in coefficient space: f_lm *= e^(-l(l+1) sigma)."""
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    _check_sigma_degree(sigma, None)
     ls = np.repeat(np.arange(coeffs.max_degree + 1), 2 * np.arange(coeffs.max_degree + 1) + 1)
     decay = np.exp(-ls * (ls + 1.0) * sigma)
     return SphericalHarmonicCoeffs(coeffs.max_degree, coeffs.values * decay)

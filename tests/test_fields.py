@@ -98,3 +98,10 @@ def test_bad_stack_value_names_line(tmp_path):
     p.write_text("a,b\n1.0,2.0\n3.0,x\n")
     with pytest.raises(ValueError, match=r"bad\.csv:3: malformed stack CSV: .*'x"):
         read_stack_csv(p)
+
+
+def test_empty_field_csv_rejected(tmp_path):
+    p = tmp_path / "empty.csv"
+    p.write_text("\n\n")
+    with pytest.raises(ValueError, match=r"empty\.csv: field CSV has no data rows$"):
+        read_field_csv(p)

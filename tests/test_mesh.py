@@ -28,6 +28,7 @@ from conftest import ICOSAHEDRON_OFF, make_grid_mesh
 # subnormal and the largest magnitudes
 EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1.797e308, -1.797e308, 1.0 / 3.0, -2.5e-300,
                1.0, 2.0, -3.0, 0.5]
+RIGHT_TRIANGLE = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
 
 
 def cotan_assembly_oracle(mesh):
@@ -86,6 +87,80 @@ class TestLoadMesh:
             + "\n"
         )
         with pytest.raises(ValueError, match="out of range"):
+            load_mesh(p)
+
+    def test_off_comments_and_blank_lines_inside_blocks(self, tmp_path):
+        p = tmp_path / "c.off"
+        p.write_text(
+            "# made by hand\nOFF\n\n3 1 0 # counts\n0 0 0\n# second vertex\n\n1 0 0 # v1\n"
+            "0 1 0\n\n# faces\n3 0 1 2 # f0\n\n"
+        )
+        mesh = load_mesh(p)
+        np.testing.assert_array_equal(mesh.vertices, RIGHT_TRIANGLE)
+        np.testing.assert_array_equal(mesh.faces, [[0, 1, 2]])
+
+    def test_off_counts_on_header_line(self, tmp_path):
+        p = tmp_path / "h.off"
+        p.write_text("OFF 3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
+        mesh = load_mesh(p)
+        np.testing.assert_array_equal(mesh.vertices, RIGHT_TRIANGLE)
+        np.testing.assert_array_equal(mesh.faces, [[0, 1, 2]])
+
+    def test_off_extra_colour_columns_ignored(self, tmp_path):
+        p = tmp_path / "rgb.off"
+        p.write_text("OFF\n3 1 0\n0 0 0 255 0 0\n1 0 0 0 255 0 1\n0 1 0 0 0 255\n3 0 1 2 9 9 9\n")
+        mesh = load_mesh(p)
+        np.testing.assert_array_equal(mesh.vertices, RIGHT_TRIANGLE)
+        np.testing.assert_array_equal(mesh.faces, [[0, 1, 2]])
+
+    def test_ply_property_order_and_skipped_element(self, tmp_path):
+        p = tmp_path / "order.ply"
+        p.write_text(
+            "ply\nformat ascii 1.0\ncomment normals first\nelement vertex 3\n"
+            "property float nx\nproperty float ny\nproperty float nz\n"
+            "property float x\nproperty float y\nproperty float z\n"
+            "element face 1\nproperty list uchar int vertex_indices\n"
+            "element edge 2\nproperty int vertex1\nproperty int vertex2\nend_header\n"
+            "9 9 9 0 0 0\ncomment inside the body\n8 8 8 1 0 0\n\n7 7 7 0 1 0\n3 0 1 2\n0 1\n1 2\n"
+        )
+        mesh = load_mesh(p)
+        np.testing.assert_array_equal(mesh.vertices, RIGHT_TRIANGLE)
+        np.testing.assert_array_equal(mesh.faces, [[0, 1, 2]])
+
+    @pytest.mark.parametrize(
+        "name, text, line",
+        [
+            ("quad.off", "OFF\n4 2 0\n0 0 0\n1 0 0\n0 1 0\n1 1 0\n3 0 1 2\n\n4 1 3 2 0\n", 9),
+            (
+                "quad.ply",
+                "ply\nformat ascii 1.0\nelement vertex 4\nproperty float x\nproperty float y\n"
+                "property float z\nelement face 2\nproperty list uchar int vertex_indices\n"
+                "end_header\n0 0 0\n1 0 0\n0 1 0\n1 1 0\n3 0 1 2\n4 1 3 2 0\n",
+                15,
+            ),
+        ],
+    )
+    def test_quad_face_rejected_naming_line(self, tmp_path, name, text, line):
+        p = tmp_path / name
+        p.write_text(text)
+        with pytest.raises(ValueError, match=rf"{name}:{line}: only triangular faces supported"):
+            load_mesh(p)
+
+    def test_truncated_ply_body_names_line(self, tmp_path):
+        p = tmp_path / "short.ply"
+        p.write_text(
+            "ply\nformat ascii 1.0\nelement vertex 3\nproperty float x\nproperty float y\n"
+            "property float z\nelement face 1\nproperty list uchar int vertex_indices\n"
+            "end_header\n0 0 0\n1 0 0\n"
+        )
+        with pytest.raises(ValueError, match=r"short\.ply: truncated .*line 11$"):
+            load_mesh(p)
+
+    @pytest.mark.parametrize("element", ["element vertex", "element vertex x"])
+    def test_malformed_ply_element_line_named(self, tmp_path, element):
+        p = tmp_path / "elem.ply"
+        p.write_text(f"ply\nformat ascii 1.0\n{element}\nproperty float x\nend_header\n")
+        with pytest.raises(ValueError, match=r"elem\.ply:3: malformed element line$"):
             load_mesh(p)
 
     def test_parse_error_reports_line(self, tmp_path):
@@ -198,6 +273,16 @@ class TestCotanMatrix:
         mesh = TriangleMesh(verts, faces)
         with pytest.raises(ValueError, match="degenerate"):
             cotan_matrix(mesh)
+
+
+    def test_overflowing_geometry_is_refused(self):
+        # squared edges overflow: the areas are NaN, which no threshold test catches
+        base = icosphere(1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mesh = TriangleMesh(base.vertices * 1e300, base.faces)
+        assert mesh.degenerate_faces.tolist() == list(range(mesh.n_faces))
+        with pytest.raises(ValueError, match="degenerate or non-finite faces"):
+            assemble_lb_operator(mesh)
 
 
 class TestVertexAreas:

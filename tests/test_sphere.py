@@ -174,6 +174,14 @@ class TestSpharmDiffuse:
         out = spharm_diffuse(SphericalHarmonicCoeffs(10, vals), 0.01)
         assert out.coefficient(10, 4) == pytest.approx(math.exp(-1.1), rel=1e-14)
 
+    @pytest.mark.parametrize("sigma", [math.inf, math.nan, -1.0])
+    def test_bad_sigma_named(self, sigma):
+        c = SphericalHarmonicCoeffs(2, np.arange(9.0))
+        with pytest.raises(ValueError, match="sigma must be a finite number >= 0"):
+            spharm_diffuse(c, sigma)
+        with pytest.raises(ValueError, match="sigma must be a finite number >= 0"):
+            ground_truth_field(icosphere(1), np.ones(42), 2, sigma)
+
 
 class TestTwoCapSignal:
     def test_cap_membership(self):
