@@ -42,6 +42,7 @@ from .solvers import (
     eigen_smooth,
     fem_euler_smooth,
     heat_smooth,
+    heat_stack,
     iterative_smooth,
     mse,
 )

@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import sparse
 from scipy import special as _sp
+from scipy.linalg.blas import dger
 
 from .mesh import _check_field
 from .special import kummer_1f1_log
@@ -479,13 +480,14 @@ def _terms(family, X, f, m):
 def _series(coeffs, X, f):
     """sum_n c_n P_n(X) f, with one output column per coefficient column.
 
+    Each degree adds P_n(X) f c_n^T into one Fortran-ordered (N, S) matrix
+    with a BLAS rank-1 update; (m+1,) coefficients are the S = 1 case.
     Raises if the recurrence leaves the finite range (checked every 64
     degrees) or the sum is not finite.
     """
     c = coeffs.coeffs
-    out = np.zeros(f.shape + c.shape[1:])
-    scratch = np.empty_like(out)
-    column = f.shape + (1,) * (c.ndim - 1)  # f against one row of c
+    rows = c.reshape(len(c), -1)
+    acc = np.zeros((f.size, rows.shape[1]), order="F")
     with np.errstate(over="ignore", invalid="ignore"):
         for n, p in enumerate(_terms(coeffs.family, X, f, coeffs.degree)):
             if n and n % _NAN_CHECK_EVERY == 0 and not np.all(np.isfinite(p)):
@@ -493,8 +495,8 @@ def _series(coeffs, X, f):
                     f"expansion recurrence diverged at degree {n} "
                     f"(family={coeffs.family.kind}, sigma={coeffs.sigma})"
                 )
-            np.multiply(p.reshape(column), c[n], out=scratch)
-            out += scratch
+            dger(1.0, p.ravel(), rows[n], a=acc, overwrite_a=1)
+    out = acc.reshape(f.shape + c.shape[1:])
     if not np.all(np.isfinite(out)):
         raise RuntimeError(
             f"expansion produced non-finite values (family={coeffs.family.kind}, "

@@ -71,10 +71,12 @@ class TriangleMesh:
             raise ValueError(f"isolated vertices not allowed: {isolated.tolist()}")
         self.vertices.setflags(write=False)
         self.faces.setflags(write=False)
-        self._geometry()
-        self.degenerate_faces = np.nonzero(
-            ~(self._areas > _DEGENERATE_REL_AREA * self._edges.max(axis=1) ** 2)
-        )[0]
+        # geometry that overflows to inf or NaN fails the area test below
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._geometry()
+            self.degenerate_faces = np.nonzero(
+                ~(self._areas > _DEGENERATE_REL_AREA * self._edges.max(axis=1) ** 2)
+            )[0]
 
     @property
     def n_vertices(self):
@@ -104,7 +106,7 @@ class TriangleMesh:
             nxt, prv = (k + 1) % 3, (k + 2) % 3
             u, w = d[prv], -d[nxt]
             dot = np.einsum("ij,ij->i", u, w)
-            with np.errstate(divide="ignore", invalid="ignore"):
+            with np.errstate(divide="ignore"):
                 cos[:, k] = dot / (el[:, prv] * el[:, nxt])
                 cot[:, k] = dot / np.linalg.norm(np.cross(u, w), axis=1)
         self._edges, self._areas, self._obtuse = el, areas, cos < _OBTUSE_COS

@@ -13,12 +13,14 @@ import numpy as np
 import scipy.linalg
 
 from .expansion import (
+    ExpansionCoefficients,
     _check_sigma_degree,
     apply_expansion,
     estimate_lambda_max,
     heat_coefficients,
     resolve_family,
 )
+from .fields import FieldStack
 from .mesh import _check_field, apply_lb
 
 _DENSE_EIGEN_LIMIT = 5000
@@ -64,12 +66,37 @@ def heat_smooth(op, f, sigma, family=None, m=None):
     return apply_expansion(op, coeffs, f)
 
 
+def heat_stack(op, f, sigmas, family=None, m=None):
+    """Heat kernel convolutions of f at several diffusion times, one column each.
+
+    Every column is a polynomial in the same operator, so the whole stack
+    runs as one recurrence of (m+1, S) coefficients. m=None picks each
+    sigma's degree as heat_smooth does and zero-pads the smaller ones to the
+    largest; an explicit m runs exactly m degrees. Returns a FieldStack with
+    labels repr(sigma) and axis "scales".
+    """
+    f = _check_field(op, f)
+    sigmas = [float(s) for s in sigmas]
+    if not sigmas:
+        raise ValueError("sigmas must be nonempty")
+    for sigma in sigmas:
+        _check_sigma_degree(sigma, m)
+    family = resolve_family(op, family, max(sigmas))
+    columns = [heat_coefficients(family, sigma, m).coeffs for sigma in sigmas]
+    c = np.zeros((max(map(len, columns)), len(columns)))
+    for j, col in enumerate(columns):
+        c[: len(col), j] = col
+    values = apply_expansion(op, ExpansionCoefficients(family, None, c), f)
+    return FieldStack(values, [repr(s) for s in sigmas], "scales")
+
+
 def iterative_smooth(op, f, sigma_step, k, family=None, m=None):
     """k repeated convolutions with step sigma_step (semigroup property).
 
     The expansion coefficients are computed once, with the degree rule of
     heat_smooth, and reused for every step. Returns the list of k fields after
-    1, 2, ..., k steps.
+    1, 2, ..., k steps. heat_stack computes the same fields at sigmas
+    k * sigma_step directly, as one recurrence.
     """
     f = _check_field(op, f)
     if not (math.isfinite(sigma_step) and sigma_step > 0):

@@ -8,6 +8,7 @@ and g(x1) = g(x2) = 1. No closed-form expansion exists for this weight, so
 coefficients come from Gauss-Chebyshev quadrature per scale.
 """
 
+import functools
 import warnings
 from dataclasses import dataclass, replace
 
@@ -18,6 +19,9 @@ from .fields import FieldStack
 
 _DRIFT_TOL = 1e-10
 _MAX_DOUBLINGS = 6
+# (kernel, family, scales, m) stacks of coefficients kept for reuse; a group
+# study asks for one stack per subject, always the same.
+_STACK_CACHE_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -100,6 +104,21 @@ def kernel_coefficients(kernel, family, m):
     return coeffs
 
 
+@functools.lru_cache(maxsize=_STACK_CACHE_SIZE)
+def _stack_coefficients(kernel, family, scales, m):
+    """Read-only (m+1, S) matrix of kernel_coefficients, one column per scale.
+
+    Cached on its hashable arguments, so it is computed once per study and
+    the same array is handed to every caller. kernel_coefficients is called
+    through the module global, so a wrapper bound there sees every miss.
+    """
+    c = np.column_stack(
+        [kernel_coefficients(kernel.with_scale(t), family, m).coeffs for t in scales]
+    )
+    c.setflags(write=False)
+    return c
+
+
 def wavelet_transform(op, f, kernel, m=300):
     """Band-pass filter f with the kernel at its scale t.
 
@@ -114,7 +133,8 @@ def wavelet_stack(op, f, kernel, scales, m=300):
     """One wavelet transform per scale t, columns in input order.
 
     The S scales are the columns of one (m+1, S) coefficient matrix, so the
-    whole stack runs one recurrence at m matvecs.
+    whole stack runs one recurrence at m matvecs. The matrix is cached on
+    (kernel, family, scales, m): repeated stacks compute no coefficients.
     """
     scales = [float(t) for t in scales]
     if not scales:
@@ -124,6 +144,6 @@ def wavelet_stack(op, f, kernel, scales, m=300):
     if any(b <= a for a, b in zip(scales, scales[1:])):
         raise ValueError("scales must be strictly increasing")
     family = resolve_family(op)
-    c = [kernel_coefficients(kernel.with_scale(t), family, m).coeffs for t in scales]
-    coeffs = ExpansionCoefficients(family, None, np.column_stack(c))
+    c = _stack_coefficients(kernel, family, tuple(scales), m)
+    coeffs = ExpansionCoefficients(family, None, c)
     return FieldStack(apply_expansion(op, coeffs, f), [repr(t) for t in scales], "scales")

@@ -391,12 +391,44 @@ class TestApplyExpansion:
         assert got.shape == (op.n_vertices, 3)
         assert [X.calls for X in made] == [37, 37]
 
+    def test_coefficient_columns_match_separate_applies_and_numpy_sum(self):
+        # the (N, S) rank-1 accumulation against S one-column applies and a
+        # plain dense sum_n P_n f c_n^T
+        op = assemble_lb_operator(make_grid_mesh(9, 11, bump=0.3))
+        b = spectral_bound(op)
+        m = 60
+        c = np.column_stack([chebyshev_coefficients(s, b, m).coeffs for s in (0.01, 0.1, 0.5)])
+        c = np.column_stack([c, np.random.default_rng(8).standard_normal((m + 1, 2)) / 10.0])
+        f = np.random.default_rng(9).standard_normal(op.n_vertices)
+        family = PolynomialFamily.chebyshev(b=b)
+        got = apply_expansion(op, ExpansionCoefficients(family, None, c), f)
+        assert got.shape == (op.n_vertices, 5)
+        separate = np.column_stack(
+            [apply_expansion(op, ExpansionCoefficients(family, None, col), f) for col in c.T]
+        )
+        X = (2.0 / b) * op.C.toarray() / op.A[:, None] - np.eye(op.n_vertices)
+        prev, cur = f, X @ f
+        want = np.outer(prev, c[0]) + np.outer(cur, c[1])
+        for n in range(2, m + 1):
+            prev, cur = cur, 2.0 * (X @ cur) - prev
+            want += np.outer(cur, c[n])
+        scale = np.abs(want).max()
+        assert np.abs(got - separate).max() <= 1e-14 * scale
+        assert np.abs(got - want).max() <= 1e-14 * scale
+
     def test_nan_guard_names_degree(self):
         # Hermite on an operator with large spectrum overflows the raw
-        # H_n(Delta) f values; the guard must fail fast with the degree
+        # H_n(Delta) f values; the guard, every 64 degrees, must fail fast
+        # with the degree
         op = assemble_lb_operator(make_grid_mesh(8, 8, spacing=0.12))
         coeffs = hermite_coefficients(1.0, 400)
-        with pytest.raises(RuntimeError, match="degree"):
+        with pytest.raises(RuntimeError, match="diverged at degree 128 "):
+            apply_expansion(op, coeffs, np.linspace(-1, 1, op.n_vertices))
+
+    def test_nan_guard_at_first_check(self):
+        op = assemble_lb_operator(make_grid_mesh(8, 8, spacing=0.01))
+        coeffs = hermite_coefficients(1.0, 400)
+        with pytest.raises(RuntimeError, match="diverged at degree 64 "):
             apply_expansion(op, coeffs, np.linspace(-1, 1, op.n_vertices))
 
     def test_length_mismatch(self):

@@ -205,8 +205,7 @@ class TestLoadMesh:
     def test_save_off_bytes_match_per_row_format(self, tmp_path):
         verts = np.array(EDGE_VALUES).reshape(-1, 3)
         faces = np.array([[0, 1, 2], [2, 1, 3]])
-        with np.errstate(over="ignore", invalid="ignore"):  # geometry overflows, not the writer
-            mesh = TriangleMesh(verts, faces)
+        mesh = TriangleMesh(verts, faces)
         p = tmp_path / "edge.off"
         save_off(mesh, p)
         want = "OFF\n4 2 0\n" + "".join(f"{x:.16e} {y:.16e} {z:.16e}\n" for x, y, z in verts)
@@ -276,9 +275,11 @@ class TestCotanMatrix:
 
 
     def test_overflowing_geometry_is_refused(self):
-        # squared edges overflow: the areas are NaN, which no threshold test catches
+        # squared edges overflow: the areas are NaN, which no threshold test
+        # catches; the faces are recorded without numpy warnings
         base = icosphere(1)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             mesh = TriangleMesh(base.vertices * 1e300, base.faces)
         assert mesh.degenerate_faces.tolist() == list(range(mesh.n_faces))
         with pytest.raises(ValueError, match="degenerate or non-finite faces"):

@@ -4,7 +4,14 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from heatflow.expansion import PolynomialFamily, _check_sigma_degree, estimate_lambda_max
+import heatflow.solvers as solvers
+from heatflow.expansion import (
+    PolynomialFamily,
+    _check_sigma_degree,
+    estimate_lambda_max,
+    heat_coefficients,
+    resolve_family,
+)
 from heatflow.mesh import assemble_lb_operator
 from heatflow.sphere import icosphere
 from heatflow.solvers import (
@@ -13,6 +20,7 @@ from heatflow.solvers import (
     eigen_smooth,
     fem_euler_smooth,
     heat_smooth,
+    heat_stack,
     iterative_smooth,
     mse,
 )
@@ -135,6 +143,58 @@ class TestIterativeSmooth:
             iterative_smooth(grid_op, grid_field, 0.1, 0)
         with pytest.raises(ValueError, match="sigma_step must be a finite number"):
             iterative_smooth(grid_op, grid_field, math.inf, 2)
+
+
+class TestHeatStack:
+    SIGMAS = [0.05 * k for k in range(1, 11)]
+
+    def test_matches_iterated_semigroup(self, grid_op, grid_field):
+        # e^(-k sigma Delta) = (e^(-sigma Delta))^k
+        stack = heat_stack(grid_op, grid_field, self.SIGMAS, m=200)
+        steps = iterative_smooth(grid_op, grid_field, 0.05, 10, m=200)
+        assert stack.values.shape == (grid_op.n_vertices, 10)
+        assert stack.labels == tuple(repr(s) for s in self.SIGMAS)
+        assert stack.axis_meaning == "scales"
+        err = np.abs(stack.values - np.column_stack(steps)).max()
+        assert err <= 1e-12 * np.abs(grid_field).max()
+
+    def test_matches_eigen_oracle(self):
+        # the group study's sigmas on its 642-vertex icosphere; 1e-9 of
+        # max|f| is the benchmark's heat oracle tolerance
+        op = assemble_lb_operator(icosphere(3))
+        f = np.random.default_rng(3).standard_normal(op.n_vertices)
+        es = eigen_reference(op, op.n_vertices)
+        sigmas = [0.0005 * k for k in range(1, 11)]
+        got = heat_stack(op, f, sigmas).values
+        want = np.column_stack([eigen_smooth(es, op, f, s) for s in sigmas])
+        assert np.abs(got - want).max() <= 1e-9 * np.abs(f).max()
+
+    def test_one_recurrence_of_zero_padded_columns(self, grid_op, grid_field, monkeypatch):
+        calls = []
+        real = solvers.apply_expansion
+        monkeypatch.setattr(
+            solvers, "apply_expansion", lambda op, c, f: calls.append(c) or real(op, c, f)
+        )
+        sigmas = [0.001, 0.1, 0.01]
+        heat_stack(grid_op, grid_field, sigmas)
+        assert len(calls) == 1
+        c = calls[0].coeffs
+        family = resolve_family(grid_op)
+        columns = [heat_coefficients(family, s).coeffs for s in sigmas]
+        assert c.shape == (max(len(col) for col in columns), 3)
+        assert len(columns[0]) < len(columns[2]) < len(columns[1])
+        for j, col in enumerate(columns):
+            np.testing.assert_array_equal(c[: len(col), j], col)
+            assert not c[len(col):, j].any()
+
+    @pytest.mark.parametrize("bad", [math.nan, -0.01, math.inf])
+    def test_bad_sigma_rejected(self, grid_op, grid_field, bad):
+        with pytest.raises(ValueError, match="sigma must be a finite number >= 0"):
+            heat_stack(grid_op, grid_field, [0.01, bad])
+
+    def test_empty_sigmas_rejected(self, grid_op, grid_field):
+        with pytest.raises(ValueError, match="nonempty"):
+            heat_stack(grid_op, grid_field, [])
 
 
 class TestFemEuler:

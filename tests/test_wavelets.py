@@ -1,7 +1,10 @@
+import inspect
+
 import numpy as np
 import pytest
 
-from heatflow.expansion import PolynomialFamily
+import heatflow.wavelets as wavelets
+from heatflow.expansion import PolynomialFamily, resolve_family
 from heatflow.mesh import assemble_lb_operator
 from heatflow.solvers import eigen_reference
 from heatflow.wavelets import (
@@ -160,3 +163,49 @@ class TestWaveletStack:
             wavelet_stack(wav_op, wav_field, WaveletKernel(), [], m=100)
         with pytest.raises(ValueError):
             wavelet_stack(wav_op, wav_field, WaveletKernel(), [0.01, 0.005], m=100)
+
+
+class TestStackCoefficientCache:
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """The number of numeric_coefficients calls so far, on an empty cache."""
+        wavelets._stack_coefficients.cache_clear()
+        calls = []
+        real = wavelets.numeric_coefficients
+        monkeypatch.setattr(
+            wavelets, "numeric_coefficients", lambda *a, **k: calls.append(1) or real(*a, **k)
+        )
+        yield lambda: len(calls)
+        wavelets._stack_coefficients.cache_clear()
+
+    def test_repeat_computes_no_coefficients(self, wav_op, wav_field, counted):
+        first = wavelet_stack(wav_op, wav_field, WaveletKernel(), DEFAULT_SCALES, m=120)
+        assert counted() >= 2 * len(DEFAULT_SCALES)
+        before = counted()
+        again = wavelet_stack(wav_op, wav_field, WaveletKernel(), DEFAULT_SCALES, m=120)
+        assert counted() == before
+        np.testing.assert_array_equal(again.values, first.values)
+
+    def test_other_degree_or_b_misses(self, wav_op, wav_field, counted):
+        wavelet_stack(wav_op, wav_field, WaveletKernel(), DEFAULT_SCALES, m=120)
+        before = counted()
+        wavelet_stack(wav_op, wav_field, WaveletKernel(), DEFAULT_SCALES, m=121)
+        assert counted() > before
+        # a grid of half the spacing has a larger spectral bound b
+        finer = assemble_lb_operator(make_grid_mesh(10, 20, spacing=0.5, bump=0.1))
+        assert resolve_family(finer).b != resolve_family(wav_op).b
+        before = counted()
+        wavelet_stack(finer, wav_field, WaveletKernel(), DEFAULT_SCALES, m=120)
+        assert counted() > before
+
+    def test_cached_matrix_is_read_only(self, wav_op, counted):
+        family = resolve_family(wav_op)
+        c = wavelets._stack_coefficients(WaveletKernel(), family, (0.002, 0.003), 50)
+        assert c.shape == (51, 2)
+        assert not c.flags.writeable
+        with pytest.raises(ValueError):
+            c[0, 0] = 1.0
+
+    def test_kernel_coefficients_stays_a_plain_function(self):
+        # the benchmark's tracer only wraps functions that inspect.isfunction accepts
+        assert inspect.isfunction(wavelets.kernel_coefficients)
