@@ -495,7 +495,7 @@ def _series(coeffs, X, f):
                     f"expansion recurrence diverged at degree {n} "
                     f"(family={coeffs.family.kind}, sigma={coeffs.sigma})"
                 )
-            dger(1.0, p.ravel(), rows[n], a=acc, overwrite_a=1)
+            acc = dger(1.0, p.ravel(), rows[n], a=acc, overwrite_a=1)
     out = acc.reshape(f.shape + c.shape[1:])
     if not np.all(np.isfinite(out)):
         raise RuntimeError(

@@ -66,14 +66,15 @@ def heat_smooth(op, f, sigma, family=None, m=None):
     return apply_expansion(op, coeffs, f)
 
 
-def heat_stack(op, f, sigmas, family=None, m=None):
+def heat_stack(op, f, sigmas, m=None):
     """Heat kernel convolutions of f at several diffusion times, one column each.
 
     Every column is a polynomial in the same operator, so the whole stack
     runs as one recurrence of (m+1, S) coefficients. m=None picks each
     sigma's degree as heat_smooth does and zero-pads the smaller ones to the
-    largest; an explicit m runs exactly m degrees. Returns a FieldStack with
-    labels repr(sigma) and axis "scales".
+    largest; an explicit m runs exactly m degrees. The expansion is in
+    Chebyshev polynomials with b from the operator, as in wavelet_stack.
+    Returns a FieldStack with labels repr(sigma) and axis "scales".
     """
     f = _check_field(op, f)
     sigmas = [float(s) for s in sigmas]
@@ -81,7 +82,7 @@ def heat_stack(op, f, sigmas, family=None, m=None):
         raise ValueError("sigmas must be nonempty")
     for sigma in sigmas:
         _check_sigma_degree(sigma, m)
-    family = resolve_family(op, family, max(sigmas))
+    family = resolve_family(op)
     columns = [heat_coefficients(family, sigma, m).coeffs for sigma in sigmas]
     c = np.zeros((max(map(len, columns)), len(columns)))
     for j, col in enumerate(columns):

@@ -109,7 +109,8 @@ def _stack_coefficients(kernel, family, scales, m):
     """Read-only (m+1, S) matrix of kernel_coefficients, one column per scale.
 
     Cached on its hashable arguments, so it is computed once per study and
-    the same array is handed to every caller. kernel_coefficients is called
+    the same array is handed to every caller. kernel.t is ignored (each
+    column sets its own scale), so callers pass the kernel at t = 1. kernel_coefficients is called
     through the module global, so a wrapper bound there sees every miss.
     """
     c = np.column_stack(
@@ -144,6 +145,6 @@ def wavelet_stack(op, f, kernel, scales, m=300):
     if any(b <= a for a, b in zip(scales, scales[1:])):
         raise ValueError("scales must be strictly increasing")
     family = resolve_family(op)
-    c = _stack_coefficients(kernel, family, tuple(scales), m)
+    c = _stack_coefficients(kernel.with_scale(1.0), family, tuple(scales), m)
     coeffs = ExpansionCoefficients(family, None, c)
     return FieldStack(apply_expansion(op, coeffs, f), [repr(t) for t in scales], "scales")

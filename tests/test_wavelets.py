@@ -198,6 +198,15 @@ class TestStackCoefficientCache:
         wavelet_stack(finer, wav_field, WaveletKernel(), DEFAULT_SCALES, m=120)
         assert counted() > before
 
+    def test_kernel_scale_is_not_part_of_the_key(self, wav_op, wav_field, counted):
+        # every column sets its own scale, so the kernel's t cannot change the matrix
+        first = wavelet_stack(wav_op, wav_field, WaveletKernel(), DEFAULT_SCALES, m=120)
+        before = counted()
+        other_t = wavelet_stack(wav_op, wav_field, WaveletKernel(t=7.0), DEFAULT_SCALES, m=120)
+        assert counted() == before
+        assert wavelets._stack_coefficients.cache_info().currsize == 1
+        np.testing.assert_array_equal(other_t.values, first.values)
+
     def test_cached_matrix_is_read_only(self, wav_op, counted):
         family = resolve_family(wav_op)
         c = wavelets._stack_coefficients(WaveletKernel(), family, (0.002, 0.003), 50)
