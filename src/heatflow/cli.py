@@ -248,15 +248,30 @@ def _read_subject_fields(path):
     return read_stack_csv(p, axis_meaning="subjects")
 
 
-def _read_subject_stacks(path):
-    """Directory of per-subject multiscale stack CSVs."""
-    p = Path(path)
-    if not p.is_dir():
-        raise ValueError(f"{path}: hotelling needs a directory of per-subject stacks")
-    files = sorted(p.glob("*.csv"))
-    if not files:
-        raise ValueError(f"{path}: no subject CSV files")
-    return [read_stack_csv(f, axis_meaning="scales") for f in files]
+def _read_subject_stacks(group_a, group_b):
+    """Two directories of per-subject multiscale stack CSVs as two (n, N, S) arrays.
+
+    Every stack must have the scale labels and shape of the first one read.
+    """
+    groups = []
+    for path in (group_a, group_b):
+        if not Path(path).is_dir():
+            raise ValueError(f"{path}: hotelling needs a directory of per-subject stacks")
+        groups.append(sorted(Path(path).glob("*.csv")))
+        if not groups[-1]:
+            raise ValueError(f"{path}: no subject CSV files")
+    files = groups[0] + groups[1]
+    stacks = [read_stack_csv(f, axis_meaning="scales") for f in files]
+    first = stacks[0]
+    for f, stack in zip(files, stacks):
+        if stack.labels != first.labels:
+            raise ValueError(f"{f}: scale labels {','.join(stack.labels)} differ "
+                             f"from {','.join(first.labels)} in {files[0]}")
+        if stack.values.shape != first.values.shape:
+            raise ValueError(f"{f}: stack shape {stack.values.shape} differs "
+                             f"from {first.values.shape} in {files[0]}")
+    values = np.stack([stack.values for stack in stacks])
+    return values[: len(groups[0])], values[len(groups[0]) :]
 
 
 def _cmd_stats(args):
@@ -267,11 +282,8 @@ def _cmd_stats(args):
             fdr_q=args.fdr,
         )
     elif args.test == "hotelling":
-        out = hotelling_t2_map(
-            _read_subject_stacks(args.group_a),
-            _read_subject_stacks(args.group_b),
-            fdr_q=args.fdr,
-        )
+        a, b = _read_subject_stacks(args.group_a, args.group_b)
+        out = hotelling_t2_map(a, b, fdr_q=args.fdr)
     else:
         out = correlation_map(
             _read_subject_fields(args.group_a),

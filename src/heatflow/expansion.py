@@ -8,6 +8,7 @@ expansion to a field costs exactly one sparse matvec per degree through the
 three-term recurrence.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -36,6 +37,9 @@ _UNSCALED_DEGREE = 1000
 # estimate_lambda_max solves densely below this many vertices, where that beats
 # ARPACK (1.3 against 2.4 ms at 162 vertices; 22 against 3.8 ms at 642).
 _DENSE_ESTIMATE_N = 256
+# (column, family, params, m) coefficient stacks kept for reuse; a group study
+# asks for the same heat and wavelet stacks for every subject.
+_STACK_CACHE_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -299,6 +303,22 @@ def heat_coefficients(family, sigma, m=None):
     if family.kind == "hermite":
         return hermite_coefficients(sigma, m)
     return laguerre_coefficients(sigma, m)
+
+
+
+@functools.lru_cache(maxsize=_STACK_CACHE_SIZE)
+def _coefficient_stack(column, family, params, m):
+    """Frozen (m+1, S) coefficients; column j is column(family, params[j], m).coeffs.
+
+    Shorter columns (m=None picks each one's degree) are zero-padded. Cached
+    on the arguments, so column must be a module-level function (a lambda
+    is a new key per call); every caller gets the same frozen object.
+    """
+    columns = [column(family, p, m).coeffs for p in params]
+    c = np.zeros((max(map(len, columns)), len(columns)))
+    for j, col in enumerate(columns):
+        c[: len(col), j] = col
+    return ExpansionCoefficients(family, None, c)
 
 
 def _jacobi_norm_log(alpha, beta, n):

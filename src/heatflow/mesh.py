@@ -341,28 +341,21 @@ def _read_body(fh, path, start, elements, comments):
     return verts, faces[:, 1:]
 
 
-def load_mesh(path, format=None):
-    """Load an OFF or ascii-PLY triangle mesh.
+def load_mesh(path):
+    """Load an OFF or ascii-PLY triangle mesh, by file extension.
 
-    The format is inferred from the file extension unless given explicitly
-    as "off" or "ply". Vertex and face order are preserved. Degenerate faces
-    produce a warning; isolated vertices are rejected.
+    Vertex and face order are preserved. Degenerate faces produce a warning;
+    isolated vertices are rejected.
     """
-    if format is None:
-        lower = str(path).lower()
-        if lower.endswith(".off"):
-            format = "off"
-        elif lower.endswith(".ply"):
-            format = "ply"
-        else:
-            raise ValueError(f"cannot infer mesh format from {path!r}")
-    if format not in ("off", "ply"):
-        raise ValueError(f"unsupported mesh format {format!r}")
+    lower = str(path).lower()
+    if lower.endswith(".off"):
+        parse = _parse_off
+    elif lower.endswith(".ply"):
+        parse = _parse_ply
+    else:
+        raise ValueError(f"cannot infer mesh format from {path!r}")
     with open(path) as fh:
-        if format == "off":
-            verts, faces = _parse_off(fh, path)
-        else:
-            verts, faces = _parse_ply(fh, path)
+        verts, faces = parse(fh, path)
     mesh = TriangleMesh(verts, faces)
     if len(mesh.degenerate_faces):
         warnings.warn(

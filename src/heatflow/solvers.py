@@ -13,8 +13,8 @@ import numpy as np
 import scipy.linalg
 
 from .expansion import (
-    ExpansionCoefficients,
     _check_sigma_degree,
+    _coefficient_stack,
     apply_expansion,
     estimate_lambda_max,
     heat_coefficients,
@@ -73,22 +73,15 @@ def heat_stack(op, f, sigmas, m=None):
     runs as one recurrence of (m+1, S) coefficients. m=None picks each
     sigma's degree as heat_smooth does and zero-pads the smaller ones to the
     largest; an explicit m runs exactly m degrees. The expansion is in
-    Chebyshev polynomials with b from the operator, as in wavelet_stack.
-    Returns a FieldStack with labels repr(sigma) and axis "scales".
+    Chebyshev polynomials with b from the operator, as in wavelet_stack, and
+    repeated stacks reuse cached coefficients. Returns a FieldStack with
+    labels repr(sigma) and axis "scales".
     """
-    f = _check_field(op, f)
-    sigmas = [float(s) for s in sigmas]
+    sigmas = tuple(float(s) for s in sigmas)
     if not sigmas:
         raise ValueError("sigmas must be nonempty")
-    for sigma in sigmas:
-        _check_sigma_degree(sigma, m)
-    family = resolve_family(op)
-    columns = [heat_coefficients(family, sigma, m).coeffs for sigma in sigmas]
-    c = np.zeros((max(map(len, columns)), len(columns)))
-    for j, col in enumerate(columns):
-        c[: len(col), j] = col
-    values = apply_expansion(op, ExpansionCoefficients(family, None, c), f)
-    return FieldStack(values, [repr(s) for s in sigmas], "scales")
+    coeffs = _coefficient_stack(heat_coefficients, resolve_family(op), sigmas, m)
+    return FieldStack(apply_expansion(op, coeffs, f), [repr(s) for s in sigmas], "scales")
 
 
 def iterative_smooth(op, f, sigma_step, k, family=None, m=None):

@@ -177,7 +177,7 @@ class SphericalHarmonicCoeffs:
         return float(self.values[sph_index(l, m)])
 
 
-def spharm_fit(mesh, f, L, areas=None):
+def spharm_fit(mesh, f, L):
     """Area-weighted least-squares SPHARM coefficients of a vertex field.
 
     Minimizes sum_i A_i (f_i - sum_lm c_lm Y_lm(p_i))^2. The weighted rms
@@ -192,8 +192,7 @@ def spharm_fit(mesh, f, L, areas=None):
         raise ValueError(
             f"(L+1)^2 = {n_cols} exceeds vertex count {mesh.n_vertices}"
         )
-    if areas is None:
-        areas = vertex_areas(mesh)
+    areas = vertex_areas(mesh)
     w = np.sqrt(areas)
     B = _sph_basis(L, mesh.vertices)
     coeffs, _, rank, _ = np.linalg.lstsq(w[:, None] * B, w * f, rcond=None)
@@ -240,7 +239,7 @@ def two_cap_signal(mesh, center_plus=(0.0, 0.0, 1.0), center_minus=(1.0, 0.0, 0.
     return f
 
 
-def ground_truth_field(mesh, signal, L, sigma, areas=None):
+def ground_truth_field(mesh, signal, L, sigma):
     """Band-limit the signal by SPHARM fit, diffuse exactly, sample back."""
-    coeffs = spharm_fit(mesh, signal, L, areas=areas)
+    coeffs = spharm_fit(mesh, signal, L)
     return spharm_evaluate(spharm_diffuse(coeffs, sigma), mesh.vertices)

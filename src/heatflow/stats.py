@@ -131,25 +131,17 @@ def two_sample_t_map(group_a, group_b, fdr_q=None):
 
 
 def _as_subject_scale_array(group):
-    """Stack per-subject FieldStacks of scales into (n_subjects, N, S)."""
-    if isinstance(group, np.ndarray):
-        if group.ndim != 3:
-            raise ValueError("expected (n_subjects, N, S) array")
-        return group.astype(float)
-    mats = []
-    for stack in group:
-        if not isinstance(stack, FieldStack):
-            raise TypeError("expected FieldStacks of scales, one per subject")
-        if stack.axis_meaning != "scales":
-            raise ValueError("per-subject stacks must have axis 'scales'")
-        mats.append(stack.values)
-    arr = np.stack(mats, axis=0)
+    """The (n_subjects, N, S) float array of a group, not copied when it is one."""
+    arr = np.asarray(group, dtype=float)
+    if arr.ndim != 3:
+        raise ValueError("expected (n_subjects, N, S) array")
     return arr
 
 
 def hotelling_t2_map(group_a, group_b, fdr_q=None):
     """Two-sample Hotelling's T^2 over S-dimensional per-vertex features.
 
+    group_a and group_b are (n_subjects, N, S) arrays of per-subject stacks.
     T^2 = (n_a n_b / n) d^T S_p^-1 d with pooled covariance S_p; p-values
     through F = T^2 (n - S - 1) / (S (n - 2)) on (S, n - S - 1) dof.
     Singular pooled covariances are ridge-regularized and flagged.

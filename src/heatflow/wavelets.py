@@ -8,20 +8,16 @@ and g(x1) = g(x2) = 1. No closed-form expansion exists for this weight, so
 coefficients come from Gauss-Chebyshev quadrature per scale.
 """
 
-import functools
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .expansion import ExpansionCoefficients, apply_expansion, numeric_coefficients, resolve_family
+from .expansion import _coefficient_stack, apply_expansion, numeric_coefficients, resolve_family
 from .fields import FieldStack
 
 _DRIFT_TOL = 1e-10
 _MAX_DOUBLINGS = 6
-# (kernel, family, scales, m) stacks of coefficients kept for reuse; a group
-# study asks for one stack per subject, always the same.
-_STACK_CACHE_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -104,30 +100,20 @@ def kernel_coefficients(kernel, family, m):
     return coeffs
 
 
-@functools.lru_cache(maxsize=_STACK_CACHE_SIZE)
-def _stack_coefficients(kernel, family, scales, m):
-    """Read-only (m+1, S) matrix of kernel_coefficients, one column per scale.
-
-    Cached on its hashable arguments, so it is computed once per study and
-    the same array is handed to every caller. kernel.t is ignored (each
-    column sets its own scale), so callers pass the kernel at t = 1. kernel_coefficients is called
-    through the module global, so a wrapper bound there sees every miss.
-    """
-    c = np.column_stack(
-        [kernel_coefficients(kernel.with_scale(t), family, m).coeffs for t in scales]
-    )
-    c.setflags(write=False)
-    return c
+def _kernel_column(family, kernel, m):
+    # the argument order of _coefficient_stack; calls through the module global
+    # so that a wrapper bound there sees every cache miss
+    return kernel_coefficients(kernel, family, m)
 
 
 def wavelet_transform(op, f, kernel, m=300):
     """Band-pass filter f with the kernel at its scale t.
 
-    The Chebyshev domain scale b is taken from the operator's spectral
-    bound; coefficients are computed numerically (no closed form exists).
+    A one-scale wavelet_stack: b is the operator's spectral bound, and the
+    coefficients (numeric; no closed form exists) are cached.
     """
-    coeffs = kernel_coefficients(kernel, resolve_family(op), m)
-    return apply_expansion(op, coeffs, f)
+    coeffs = _coefficient_stack(_kernel_column, resolve_family(op), (kernel,), m)
+    return apply_expansion(op, coeffs, f)[:, 0]
 
 
 def wavelet_stack(op, f, kernel, scales, m=300):
@@ -135,7 +121,8 @@ def wavelet_stack(op, f, kernel, scales, m=300):
 
     The S scales are the columns of one (m+1, S) coefficient matrix, so the
     whole stack runs one recurrence at m matvecs. The matrix is cached on
-    (kernel, family, scales, m): repeated stacks compute no coefficients.
+    (kernel at each scale, family, m): repeated stacks compute no
+    coefficients, and kernels that differ only in t share one entry.
     """
     scales = [float(t) for t in scales]
     if not scales:
@@ -144,7 +131,6 @@ def wavelet_stack(op, f, kernel, scales, m=300):
         raise ValueError("scales must be positive")
     if any(b <= a for a, b in zip(scales, scales[1:])):
         raise ValueError("scales must be strictly increasing")
-    family = resolve_family(op)
-    c = _stack_coefficients(kernel.with_scale(1.0), family, tuple(scales), m)
-    coeffs = ExpansionCoefficients(family, None, c)
+    kernels = tuple(kernel.with_scale(t) for t in scales)
+    coeffs = _coefficient_stack(_kernel_column, resolve_family(op), kernels, m)
     return FieldStack(apply_expansion(op, coeffs, f), [repr(t) for t in scales], "scales")

@@ -274,6 +274,29 @@ class TestStatsCommand:
         h_rows = np.loadtxt(tmp_path / "h.csv", delimiter=",", skiprows=1)
         np.testing.assert_allclose(h_rows[:, 1], t_rows[:, 1] ** 2, atol=1e-10)
 
+    def test_hotelling_names_stack_with_other_scales(self, tmp_path, capsys):
+        rng = np.random.default_rng(4)
+        _, ga = _write_group(tmp_path, "ga", rng.standard_normal((6, 4)))
+        _, gb = _write_group(tmp_path, "gb", rng.standard_normal((6, 4)))
+        odd = gb / "subj02.csv"
+        write_stack_csv(odd, FieldStack(rng.standard_normal((6, 1)), ["0.5"], "scales"))
+        assert main(["stats", "hotelling", "--group-a", str(ga), "--group-b", str(gb),
+                     "--out", str(tmp_path / "h")]) == 1
+        err = capsys.readouterr().err
+        assert f"{odd}: scale labels 0.5 differ from 0.001 in {ga / 'subj00.csv'}" in err
+        assert not (tmp_path / "h.csv").exists()
+
+    def test_hotelling_names_stack_of_other_shape(self, tmp_path, capsys):
+        rng = np.random.default_rng(5)
+        _, ga = _write_group(tmp_path, "ga", rng.standard_normal((6, 4)))
+        _, gb = _write_group(tmp_path, "gb", rng.standard_normal((6, 4)))
+        odd = ga / "subj03.csv"
+        write_stack_csv(odd, FieldStack(rng.standard_normal((5, 1)), ["0.001"], "scales"))
+        assert main(["stats", "hotelling", "--group-a", str(ga), "--group-b", str(gb),
+                     "--out", str(tmp_path / "h")]) == 1
+        err = capsys.readouterr().err
+        assert f"{odd}: stack shape (5, 1) differs from (6, 1) in {ga / 'subj00.csv'}" in err
+
     def test_corr_paired(self, tmp_path):
         rng = np.random.default_rng(2)
         mat_a = rng.standard_normal((10, 6))

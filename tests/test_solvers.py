@@ -1,18 +1,21 @@
+import inspect
 import math
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+import heatflow.expansion as expansion
 import heatflow.solvers as solvers
 from heatflow.expansion import (
     PolynomialFamily,
     _check_sigma_degree,
+    _coefficient_stack,
     estimate_lambda_max,
     heat_coefficients,
     resolve_family,
 )
-from heatflow.mesh import assemble_lb_operator
+from heatflow.mesh import TriangleMesh, assemble_lb_operator
 from heatflow.sphere import icosphere
 from heatflow.solvers import (
     EigenSystem,
@@ -117,6 +120,42 @@ class TestHeatSmooth:
         g = heat_smooth(op, f, sigma)
         assert abs(op.A @ g - op.A @ f) <= 1e-12 * (op.A @ np.abs(f))
 
+    def test_uniform_rescaling(self, grid_field):
+        # scaling the mesh by s keeps the cotangents C and multiplies the areas
+        # A by s^2, so Delta becomes Delta / s^2 and sigma * s^2 undoes it
+        mesh = make_grid_mesh(10, 20, bump=0.2)
+        s = 3.0
+        op = assemble_lb_operator(mesh)
+        op_s = assemble_lb_operator(TriangleMesh(s * mesh.vertices, mesh.faces))
+        np.testing.assert_allclose(op_s.C.toarray(), op.C.toarray(), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(op_s.A, s**2 * op.A, rtol=1e-12)
+        sigma = 0.1
+        degree = heat_coefficients(resolve_family(op), sigma).degree
+        assert heat_coefficients(resolve_family(op_s), sigma * s**2).degree == degree
+        got = heat_smooth(op_s, grid_field, sigma * s**2)
+        want = heat_smooth(op, grid_field, sigma)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(grid_field).max()
+
+    def test_disjoint_components(self):
+        # no cotangent couples the components, so heat stays on each one
+        first = make_grid_mesh(6, 7, bump=0.2)
+        second = make_grid_mesh(5, 8, spacing=0.5)
+        n = first.n_vertices
+        mesh = TriangleMesh(
+            np.vstack([first.vertices, second.vertices + 10.0]),
+            np.vstack([first.faces, second.faces + n]),
+        )
+        op = assemble_lb_operator(mesh)
+        f = np.random.default_rng(8).standard_normal(mesh.n_vertices)
+        g = heat_smooth(op, f, 0.3)
+        for part in (slice(0, n), slice(n, None)):
+            mass = op.A[part] @ np.abs(f[part])
+            assert abs(op.A[part] @ g[part] - op.A[part] @ f[part]) <= 1e-12 * mass
+        f[n:] = 0.0
+        g = heat_smooth(op, f, 0.3)
+        assert np.abs(g[:n]).max() > 0.0
+        np.testing.assert_array_equal(g[n:], 0.0)
+
 
 class TestIterativeSmooth:
     def test_single_step_equals_heat_smooth(self, grid_op, grid_field):
@@ -186,6 +225,32 @@ class TestHeatStack:
         for j, col in enumerate(columns):
             np.testing.assert_array_equal(c[: len(col), j], col)
             assert not c[len(col):, j].any()
+
+    def test_repeat_computes_no_coefficients(self, grid_op, grid_field, monkeypatch):
+        _coefficient_stack.cache_clear()
+        calls = []
+        real = solvers.heat_coefficients
+        monkeypatch.setattr(
+            solvers, "heat_coefficients", lambda *a: calls.append(1) or real(*a)
+        )
+        first = heat_stack(grid_op, grid_field, self.SIGMAS, m=120)
+        assert len(calls) == len(self.SIGMAS)
+        again = heat_stack(grid_op, grid_field, self.SIGMAS, m=120)
+        assert len(calls) == len(self.SIGMAS)
+        np.testing.assert_array_equal(again.values, first.values)
+        _coefficient_stack.cache_clear()
+
+    def test_cached_coefficients_are_read_only(self, grid_op):
+        family = resolve_family(grid_op)
+        coeffs = _coefficient_stack(heat_coefficients, family, (0.001, 0.01), None)
+        assert coeffs is _coefficient_stack(heat_coefficients, family, (0.001, 0.01), None)
+        assert not coeffs.coeffs.flags.writeable
+        with pytest.raises(ValueError):
+            coeffs.coeffs[0, 0] = 1.0
+
+    def test_heat_coefficients_stays_a_plain_function(self):
+        # the benchmark's tracer only wraps functions that inspect.isfunction accepts
+        assert inspect.isfunction(expansion.heat_coefficients)
 
     @pytest.mark.parametrize("bad", [math.nan, -0.01, math.inf])
     def test_bad_sigma_rejected(self, grid_op, grid_field, bad):

@@ -115,19 +115,16 @@ class TestHotellingT2:
         want = (3 * 3 / 6) * d @ inv @ d
         assert out.statistic[0] == pytest.approx(want, rel=1e-10)
 
-    def test_accepts_fieldstack_sequences(self):
+    def test_takes_one_subject_scale_array(self):
+        # callers stack per-subject FieldStacks into (n_subjects, N, S) themselves
         rng = np.random.default_rng(5)
-        ga = [
-            FieldStack(rng.standard_normal((7, 2)), ["a", "b"], "scales")
-            for _ in range(4)
-        ]
-        gb = [
-            FieldStack(rng.standard_normal((7, 2)), ["a", "b"], "scales")
-            for _ in range(5)
-        ]
-        out = hotelling_t2_map(ga, gb)
+        a = rng.standard_normal((4, 7, 2))
+        b = rng.standard_normal((5, 7, 2))
+        out = hotelling_t2_map(a, b)
         assert out.statistic.shape == (7,)
         assert out.dof == (2, 6)
+        with pytest.raises(ValueError, match=r"\(n_subjects, N, S\)"):
+            hotelling_t2_map(a[0], b)
 
     def test_singular_covariance_ridge_flagged(self):
         # identical feature columns make the pooled covariance rank 1

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import heatflow.wavelets as wavelets
-from heatflow.expansion import PolynomialFamily, resolve_family
+from heatflow.expansion import PolynomialFamily, _coefficient_stack, resolve_family
 from heatflow.mesh import assemble_lb_operator
 from heatflow.solvers import eigen_reference
 from heatflow.wavelets import (
@@ -169,14 +169,14 @@ class TestStackCoefficientCache:
     @pytest.fixture
     def counted(self, monkeypatch):
         """The number of numeric_coefficients calls so far, on an empty cache."""
-        wavelets._stack_coefficients.cache_clear()
+        _coefficient_stack.cache_clear()
         calls = []
         real = wavelets.numeric_coefficients
         monkeypatch.setattr(
             wavelets, "numeric_coefficients", lambda *a, **k: calls.append(1) or real(*a, **k)
         )
         yield lambda: len(calls)
-        wavelets._stack_coefficients.cache_clear()
+        _coefficient_stack.cache_clear()
 
     def test_repeat_computes_no_coefficients(self, wav_op, wav_field, counted):
         first = wavelet_stack(wav_op, wav_field, WaveletKernel(), DEFAULT_SCALES, m=120)
@@ -204,12 +204,23 @@ class TestStackCoefficientCache:
         before = counted()
         other_t = wavelet_stack(wav_op, wav_field, WaveletKernel(t=7.0), DEFAULT_SCALES, m=120)
         assert counted() == before
-        assert wavelets._stack_coefficients.cache_info().currsize == 1
+        assert _coefficient_stack.cache_info().currsize == 1
         np.testing.assert_array_equal(other_t.values, first.values)
+
+    def test_repeated_transform_computes_no_coefficients(self, wav_op, wav_field, counted):
+        first = wavelet_transform(wav_op, wav_field, WaveletKernel(t=0.004), m=120)
+        before = counted()
+        assert before >= 2
+        again = wavelet_transform(wav_op, wav_field, WaveletKernel(t=0.004), m=120)
+        assert counted() == before
+        np.testing.assert_array_equal(again, first)
 
     def test_cached_matrix_is_read_only(self, wav_op, counted):
         family = resolve_family(wav_op)
-        c = wavelets._stack_coefficients(WaveletKernel(), family, (0.002, 0.003), 50)
+        kernels = (WaveletKernel(t=0.002), WaveletKernel(t=0.003))
+        coeffs = _coefficient_stack(wavelets._kernel_column, family, kernels, 50)
+        assert coeffs is _coefficient_stack(wavelets._kernel_column, family, kernels, 50)
+        c = coeffs.coeffs
         assert c.shape == (51, 2)
         assert not c.flags.writeable
         with pytest.raises(ValueError):
