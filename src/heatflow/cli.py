@@ -248,6 +248,18 @@ def _read_subject_fields(path):
     return read_stack_csv(p, axis_meaning="subjects")
 
 
+def _pair_by_stem(a, b, path_a, path_b):
+    """b's subjects in the order of a's, matched by file stem (column label of a stacked CSV)."""
+    for path, stack in ((path_a, a), (path_b, b)):
+        if len(set(stack.labels)) < len(stack.labels):
+            raise ValueError(f"{path}: repeated subject names cannot be paired")
+    unmatched = sorted(set(a.labels).symmetric_difference(b.labels))
+    if unmatched:
+        has, lacks = (path_a, path_b) if unmatched[0] in a.labels else (path_b, path_a)
+        raise ValueError(f"{has}: subject {unmatched[0]} has no partner in {lacks}")
+    return FieldStack(b.values[:, [b.labels.index(s) for s in a.labels]], a.labels, "subjects")
+
+
 def _read_subject_stacks(group_a, group_b):
     """Two directories of per-subject multiscale stack CSVs as two (n, N, S) arrays.
 
@@ -285,12 +297,10 @@ def _cmd_stats(args):
         a, b = _read_subject_stacks(args.group_a, args.group_b)
         out = hotelling_t2_map(a, b, fdr_q=args.fdr)
     else:
-        out = correlation_map(
-            _read_subject_fields(args.group_a),
-            _read_subject_fields(args.group_b),
-            paired=args.paired,
-            fdr_q=args.fdr,
-        )
+        a, b = _read_subject_fields(args.group_a), _read_subject_fields(args.group_b)
+        if args.paired:
+            b = _pair_by_stem(a, b, args.group_a, args.group_b)
+        out = correlation_map(a, b, paired=args.paired, fdr_q=args.fdr)
     csv_path = args.out + ".csv"
     json_path = args.out + ".json"
     write_statmap(out, csv_path, json_path)

@@ -5,7 +5,9 @@ in one of four orthogonal polynomial families. Chebyshev and Jacobi run in the
 shifted/scaled variable 2*lambda/b - 1 so the expansion covers the operator
 spectrum [0, b]; Hermite and Laguerre are applied unscaled. Applying the
 expansion to a field costs exactly one sparse matvec per degree through the
-three-term recurrence.
+three-term recurrence, run on 2X (X = 2/b A^-1 C - I, or A^-1 C) cached on the
+operator: scipy's private csr_matvec adds 2X P_n into a row that holds the
+rest of P_{n+1}, and each block of degrees goes into the output with one GEMM.
 """
 
 import functools
@@ -16,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import sparse
 from scipy import special as _sp
-from scipy.linalg.blas import dger
+from scipy.sparse._sparsetools import csr_matvec  # y += X @ x, no allocation
 
 from .mesh import _check_field
 from .special import kummer_1f1_log
@@ -40,6 +42,8 @@ _DENSE_ESTIMATE_N = 256
 # (column, family, params, m) coefficient stacks kept for reuse; a group study
 # asks for the same heat and wavelet stacks for every subject.
 _STACK_CACHE_SIZE = 32
+# Bytes of P_n(X) f rows one GEMM adds into the output: 16 rows at 40962 vertices.
+_BLOCK_BYTES = 16 * 8 * 40962
 
 
 @dataclass(frozen=True)
@@ -376,11 +380,9 @@ def numeric_coefficients(weight, family, m, nodes=None):
         x, w = _sp.roots_jacobi(K, family.alpha, family.beta)
         lam = 0.5 * b * (x + 1.0)
         W = _eval_weight(weight, lam)
-        raw = np.array([p @ (w * W) for p in _terms(family, sparse.diags(x), np.ones(K), m)])
-        norms = np.array(
-            [math.exp(_jacobi_norm_log(family.alpha, family.beta, n)) for n in range(m + 1)]
-        )
-        c = raw / norms
+        X2, wW = sparse.diags(2.0 * x, format="csr"), w * W
+        c = np.concatenate([P @ wW for _, P in _blocks(family, X2, np.ones(K), m)])
+        c /= [math.exp(_jacobi_norm_log(family.alpha, family.beta, n)) for n in range(m + 1)]
     return ExpansionCoefficients(family, None, c)
 
 
@@ -389,7 +391,7 @@ def evaluate_expansion(coeffs, lam):
     lam = np.asarray(lam, dtype=float)
     fam = coeffs.family
     x = 2.0 * lam / fam.b - 1.0 if fam.scaled else lam
-    out = _series(coeffs, sparse.diags(x.ravel()), np.ones(x.size))
+    out = _series(coeffs, sparse.diags(2.0 * x.ravel(), format="csr"), np.ones(x.size))
     return out.reshape(lam.shape + coeffs.coeffs.shape[1:])
 
 
@@ -459,64 +461,69 @@ def resolve_family(op, family=None, sigma=0.0):
 
 
 def _recurrence_matrix(op, b):
-    """(2/b) A^-1 C - I, or A^-1 C for b None: the CSR matrix the recurrence runs on.
+    """2X, X = (2/b) A^-1 C - I, or A^-1 C for b None: the CSR matrix the recurrence runs on.
 
     A copy of C scaled row by row with its diagonal shifted; cached on op for the last b.
     """
     cached = op.recurrence_matrix
     if cached is None or cached[0] != b:
-        X = op.C.copy()
-        scale = 1.0 / op.A if b is None else (2.0 / b) / op.A
-        X.data *= np.repeat(scale, np.diff(X.indptr))
+        X2 = op.C.copy()
+        scale = 2.0 / op.A if b is None else (4.0 / b) / op.A
+        X2.data *= np.repeat(scale, np.diff(X2.indptr))
         if b is not None:
-            X.setdiag(X.diagonal() - 1.0)
-        op.recurrence_matrix = cached = (b, X)
+            X2.setdiag(X2.diagonal() - 2.0)
+        op.recurrence_matrix = cached = (b, X2)
     return cached[1]
 
 
-def _terms(family, X, f, m):
-    """Yield P_0(X) f, ..., P_m(X) f: the three-term recurrence of the family.
+def _blocks(family, X2, f, m):
+    """Yield (lo, P), P[k] = P_{lo+k}(X) f for k < len(P): the family's three-term recurrence.
 
-    X is anything with X @ v, already in the variable the family runs in.
-    Each degree costs one X @ v; a yielded array is never modified afterwards.
+    X2 is the CSR matrix 2X. The blocks of P_0..P_m rows are one reused buffer
+    of at most _BLOCK_BYTES. P_{n+1} = (A_n/2) (2X P_n + (2/A_n)(B_n P_n + C_n P_{n-1})):
+    the bracket is formed in the row, and one csr_matvec adds 2X P_n into it.
     """
-    prev, cur = None, f
-    yield cur
+    N = f.size
+    rows = max(1, min(m + 1, _BLOCK_BYTES // (8 * N)))
+    buf = np.empty((rows + 2, N))  # rows 0 and 1 carry P_{lo-2} and P_{lo-1}
+    buf[1], buf[2] = 0.0, f  # P_{-1} = 0, P_0 = f
+    view = list(buf)  # one view per row, made once
+    matvec = functools.partial(csr_matvec, N, N, X2.indptr, X2.indices, X2.data)
+    lo, r = 0, 3
     for n in range(m):
+        if r == rows + 2:
+            yield lo, buf[2:]
+            buf[:2] = buf[rows:]
+            lo, r = lo + rows, 2
         A, B, C = recurrence_params(family, n)
-        nxt = X @ cur
-        if A != 1.0:
-            nxt *= A
+        half, row, cur = 0.5 * A, view[r], view[r - 1]
+        np.multiply(view[r - 2], C / half, out=row)
         if B != 0.0:
-            nxt += B * cur
-        if n and C == -1.0:
-            nxt -= prev  # Chebyshev, without a temporary
-        elif n and C != 0.0:
-            nxt += C * prev
-        yield nxt
-        prev, cur = cur, nxt
+            row += (B / half) * cur
+        matvec(cur, row)
+        if half != 1.0:
+            row *= half
+        r += 1
+    yield lo, buf[2:r]
 
 
-def _series(coeffs, X, f):
-    """sum_n c_n P_n(X) f, with one output column per coefficient column.
+def _series(coeffs, X2, f):
+    """sum_n c_n P_n(X) f: one GEMM per block of degrees, or a GEMV for (m+1,) coefficients.
 
-    Each degree adds P_n(X) f c_n^T into one Fortran-ordered (N, S) matrix
-    with a BLAS rank-1 update; (m+1,) coefficients are the S = 1 case.
-    Raises if the recurrence leaves the finite range (checked every 64
-    degrees) or the sum is not finite.
+    Raises if the recurrence leaves the finite range (checked every 64 degrees)
+    or the sum is not finite.
     """
     c = coeffs.coeffs
-    rows = c.reshape(len(c), -1)
-    acc = np.zeros((f.size, rows.shape[1]), order="F")
+    out = np.zeros(f.shape + c.shape[1:])
     with np.errstate(over="ignore", invalid="ignore"):
-        for n, p in enumerate(_terms(coeffs.family, X, f, coeffs.degree)):
-            if n and n % _NAN_CHECK_EVERY == 0 and not np.all(np.isfinite(p)):
-                raise RuntimeError(
-                    f"expansion recurrence diverged at degree {n} "
-                    f"(family={coeffs.family.kind}, sigma={coeffs.sigma})"
-                )
-            acc = dger(1.0, p.ravel(), rows[n], a=acc, overwrite_a=1)
-    out = acc.reshape(f.shape + c.shape[1:])
+        for lo, P in _blocks(coeffs.family, X2, f, coeffs.degree):
+            for k in range(-lo % _NAN_CHECK_EVERY, len(P), _NAN_CHECK_EVERY):
+                if lo + k and not np.all(np.isfinite(P[k])):
+                    raise RuntimeError(
+                        f"expansion recurrence diverged at degree {lo + k} "
+                        f"(family={coeffs.family.kind}, sigma={coeffs.sigma})"
+                    )
+            out += P.T @ c[lo : lo + len(P)]
     if not np.all(np.isfinite(out)):
         raise RuntimeError(
             f"expansion produced non-finite values (family={coeffs.family.kind}, "
@@ -528,11 +535,10 @@ def _series(coeffs, X, f):
 def apply_expansion(op, coeffs, f):
     """sum_n c_n P_n(Delta) f through the three-term recurrence.
 
-    Runs on one CSR matrix cached on the operator: (2/b) A^-1 C - I for the
-    scaled families, A^-1 C for Hermite and Laguerre. Costs exactly `degree`
-    sparse matvecs, also for (m+1, S) coefficients, which give an (N, S)
-    result. Raises if the recurrence leaves the finite range (checked every
-    64 degrees).
+    Runs on the CSR matrix 2X cached on the operator (_recurrence_matrix).
+    Costs exactly `degree` sparse matvecs, also for (m+1, S) coefficients,
+    which give an (N, S) result. Raises if the recurrence leaves the finite
+    range (checked every 64 degrees).
     """
     f = _check_field(op, f)
     fam = coeffs.family

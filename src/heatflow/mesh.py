@@ -125,9 +125,8 @@ class LBOperator:
     C is symmetric sparse (CSR) with zero row sums; A is strictly positive.
     Instances are immutable apart from three caches the expansion layer fills
     on first use: the Lanczos estimate of the largest eigenvalue
-    (lambda_max_hint), the Gershgorin bound (gershgorin_bound) and the matrix
-    the recurrence runs on (recurrence_matrix, a pair (b, X) with
-    X = (2/b) A^-1 C - I, or A^-1 C for b None).
+    (lambda_max_hint), the Gershgorin bound (gershgorin_bound) and the pair
+    (b, 2X) of expansion._recurrence_matrix (recurrence_matrix).
     """
 
     def __init__(self, C, A):

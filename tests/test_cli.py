@@ -311,6 +311,48 @@ class TestStatsCommand:
         rows = np.loadtxt(tmp_path / "corr.csv", delimiter=",", skiprows=1)
         assert np.all(np.abs(rows[:, 1]) <= 1.0)
 
+    def test_corr_paired_names_unmatched_stem(self, tmp_path, capsys):
+        rng = np.random.default_rng(6)
+        ga, _ = _write_group(tmp_path, "ga", rng.standard_normal((10, 5)))
+        gb, _ = _write_group(tmp_path, "gb", rng.standard_normal((10, 5)))
+        (gb / "subj04.csv").rename(gb / "subj07.csv")
+        assert main([
+            "stats", "corr", "--group-a", str(ga), "--group-b", str(gb),
+            "--paired", "--out", str(tmp_path / "corr"),
+        ]) == 1
+        assert f"{ga}: subject subj04 has no partner in {gb}" in capsys.readouterr().err
+        assert not (tmp_path / "corr.csv").exists()
+
+    def test_corr_paired_refuses_repeated_names(self, tmp_path, capsys):
+        rng = np.random.default_rng(8)
+        ga, _ = _write_group(tmp_path, "ga", rng.standard_normal((10, 3)))
+        stacked = tmp_path / "gb.csv"
+        labels = ["subj00", "subj01", "subj01"]
+        write_stack_csv(stacked, FieldStack(rng.standard_normal((10, 3)), labels, "subjects"))
+        assert main([
+            "stats", "corr", "--group-a", str(ga), "--group-b", str(stacked),
+            "--paired", "--out", str(tmp_path / "corr"),
+        ]) == 1
+        assert f"{stacked}: repeated subject names cannot be paired" in capsys.readouterr().err
+
+    def test_corr_paired_matches_stacked_columns_by_label(self, tmp_path):
+        rng = np.random.default_rng(7)
+        mat_a = rng.standard_normal((10, 5))
+        mat_b = 0.5 * mat_a + 0.5 * rng.standard_normal((10, 5))
+        ga, _ = _write_group(tmp_path, "ga", mat_a)
+        gb, _ = _write_group(tmp_path, "gb", mat_b)
+        shuffled = tmp_path / "gb.csv"
+        order = [3, 0, 4, 1, 2]
+        write_stack_csv(
+            shuffled, FieldStack(mat_b[:, order], [f"subj{i:02d}" for i in order], "subjects")
+        )
+        for group_b, out in ((gb, "by_dir"), (shuffled, "by_stack")):
+            assert main([
+                "stats", "corr", "--group-a", str(ga), "--group-b", str(group_b),
+                "--paired", "--out", str(tmp_path / out),
+            ]) == 0
+        assert (tmp_path / "by_dir.csv").read_bytes() == (tmp_path / "by_stack.csv").read_bytes()
+
     def test_stacked_csv_group_input(self, tmp_path):
         rng = np.random.default_rng(3)
         mat = rng.standard_normal((8, 5))

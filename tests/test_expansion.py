@@ -3,6 +3,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 from scipy import special as sp
 
@@ -60,10 +62,14 @@ class TestRecurrenceParams:
         assert (A, B, C) == (-0.5, 1.5, -0.5)
 
     @pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (-0.5, -0.5), (1.0, 0.3), (2.5, -0.9)])
-    def test_jacobi_matches_scipy(self, alpha, beta):
+    def test_jacobi_matches_scipy(self, alpha, beta, monkeypatch):
+        # blocks of 5 degrees, so rows are carried across blocks
+        monkeypatch.setattr(ex, "_BLOCK_BYTES", 5 * 8 * 31)
         fam = PolynomialFamily.jacobi(alpha, beta, b=2.0)
         x = np.linspace(-1.0, 1.0, 31)
-        table = list(ex._terms(fam, sparse.diags(x), np.ones_like(x), 12))
+        blocks = ex._blocks(fam, sparse.diags(2.0 * x, format="csr"), np.ones_like(x), 12)
+        table = np.concatenate([P.copy() for _, P in blocks])
+        assert table.shape == (13, 31)
         for n in range(13):
             np.testing.assert_allclose(
                 table[n], sp.eval_jacobi(n, alpha, beta, x), rtol=1e-10, atol=1e-12
@@ -322,6 +328,111 @@ class TestSpectralBound:
         assert resolve_family(op, PolynomialFamily.jacobi(1.0, 0.5)).b == got
 
 
+@st.composite
+def obtuse_meshes(draw):
+    """A grid patch sheared, squashed and jittered until most of its faces are obtuse."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mesh = make_grid_mesh(
+        draw(st.integers(3, 8)), draw(st.integers(3, 8)), bump=draw(st.floats(0.0, 1.0))
+    )
+    verts = mesh.vertices.copy()
+    verts[:, 0] += draw(st.floats(1.0, 4.0)) * verts[:, 1]
+    verts[:, 1] *= draw(st.floats(0.2, 1.0))
+    verts += 0.03 * rng.standard_normal(verts.shape)
+    return TriangleMesh(verts, mesh.faces)
+
+
+class TestObtuseProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(mesh=obtuse_meshes())
+    def test_spectral_bound_covers_dense_spectrum(self, mesh):
+        assert mesh._obtuse.any(axis=1).mean() >= 0.5
+        op = assemble_lb_operator(mesh)
+        lam, _ = dense_eigensystem(op)
+        assert lam.max() <= spectral_bound(op)
+
+    @settings(max_examples=25, deadline=None)
+    @given(mesh=obtuse_meshes(), sigma=st.floats(1e-3, 0.5), seed=st.integers(0, 2**32 - 1))
+    def test_heat_smooth_conserves_mass(self, mesh, sigma, seed):
+        assert mesh._obtuse.any(axis=1).mean() >= 0.5
+        op = assemble_lb_operator(mesh)
+        f = np.random.default_rng(seed).standard_normal(op.n_vertices)
+        g = heat_smooth(op, f, sigma)
+        assert abs(op.A @ g - op.A @ f) <= 1e-12 * (op.A @ np.abs(f))
+
+
+class TestBlockEngine:
+    """The recurrence in blocks of 4 degrees against a plain dense recurrence."""
+
+    BLOCK = 4
+    FAMILIES = [
+        PolynomialFamily.chebyshev(),
+        PolynomialFamily.jacobi(0.7, -0.4),
+        PolynomialFamily.hermite(),
+        PolynomialFamily.laguerre(),
+    ]
+
+    @pytest.mark.parametrize("S", [1, 3])
+    @pytest.mark.parametrize("m", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 130])
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.kind)
+    def test_matches_dense_recurrence(self, family, m, S, monkeypatch):
+        op = assemble_lb_operator(make_grid_mesh(6, 7, spacing=2.0, bump=0.3))
+        monkeypatch.setattr(ex, "_BLOCK_BYTES", self.BLOCK * 8 * op.n_vertices)
+        family = resolve_family(op, family)
+        rng = np.random.default_rng(m)
+        f = rng.standard_normal(op.n_vertices)
+        # decaying like the expansion of a smooth weight: two recurrences that
+        # round differently drift apart by O(n^2 eps) at degree n, which
+        # undamped O(1) coefficients would carry into the sum (2.7e-14 of scale
+        # at degree 130 for the per-degree engine as well)
+        n = np.arange(m + 1)
+        decay = 1.0 / sp.factorial(n) if family.kind == "hermite" else 0.8**n
+        c = rng.standard_normal((m + 1, S)) * decay[:, None]
+        coeffs = ExpansionCoefficients(family, None, c[:, 0] if S == 1 else c)
+        got = apply_expansion(op, coeffs, f)
+
+        X = op.C.toarray() / op.A[:, None]
+        if family.scaled:
+            X = (2.0 / family.b) * X - np.eye(op.n_vertices)
+        prev, cur = np.zeros_like(f), f
+        want = np.outer(cur, c[0])
+        for n in range(m):
+            A, B, C = recurrence_params(family, n)
+            prev, cur = cur, A * (X @ cur) + B * cur + (C * prev if n else 0.0)
+            want += np.outer(cur, c[n + 1])
+        want = want[:, 0] if S == 1 else want
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_block_size_from_byte_budget(self):
+        rows = [len(P) for _, P in ex._blocks(
+            PolynomialFamily.chebyshev(b=1.0), sparse.eye(40962, format="csr"), np.ones(40962), 40
+        )]
+        assert rows == [16, 16, 9]
+
+
+class TestCsrMatvecContract:
+    def test_adds_product_into_nonzero_output(self):
+        # the recurrence relies on scipy's private kernel adding X @ x into y
+        op = assemble_lb_operator(make_grid_mesh(6, 5, bump=0.4))
+        X2 = ex._recurrence_matrix(op, spectral_bound(op))
+        N = op.n_vertices
+        x = np.random.default_rng(1).standard_normal(N)
+        y = np.random.default_rng(2).standard_normal(N)
+        want = y + X2 @ x
+        ex.csr_matvec(N, N, X2.indptr, X2.indices, X2.data, x, y)
+        np.testing.assert_allclose(y, want, rtol=1e-14, atol=1e-14 * np.abs(want).max())
+
+    def test_cached_matrix_is_twice_the_recurrence_variable(self):
+        op = assemble_lb_operator(make_grid_mesh(6, 5, bump=0.4))
+        b = spectral_bound(op)
+        X = (2.0 / b) * op.C.toarray() / op.A[:, None] - np.eye(op.n_vertices)
+        np.testing.assert_allclose(ex._recurrence_matrix(op, b).toarray(), 2.0 * X, atol=1e-15)
+        np.testing.assert_allclose(
+            ex._recurrence_matrix(op, None).toarray(), 2.0 * op.C.toarray() / op.A[:, None]
+        )
+
+
 class TestApplyExpansion:
     def test_identity_filter(self):
         op = assemble_lb_operator(make_grid_mesh(6, 6, bump=0.3))
@@ -365,23 +476,13 @@ class TestApplyExpansion:
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12 * np.abs(rhs).max())
 
     def test_exactly_m_matvecs(self, monkeypatch):
-        class Counting:
-            def __init__(self, X):
-                self.X = X
-                self.calls = 0
-
-            def __matmul__(self, v):
-                self.calls += 1
-                return self.X @ v
-
-        real = ex._recurrence_matrix
-        made = []
-        monkeypatch.setattr(
-            ex, "_recurrence_matrix", lambda op, b: made.append(Counting(real(op, b))) or made[-1]
-        )
+        calls = []
+        real = ex.csr_matvec
+        monkeypatch.setattr(ex, "csr_matvec", lambda *a: calls.append(a[0]) or real(*a))
         op = assemble_lb_operator(make_grid_mesh(5, 5))
         coeffs = chebyshev_coefficients(0.1, 10.0, 37)
         apply_expansion(op, coeffs, np.ones(op.n_vertices))
+        assert len(calls) == 37
         # three coefficient columns share one recurrence: 37 matvecs, not 111
         other = chebyshev_coefficients(0.2, 10.0, 37).coeffs
         columns = ExpansionCoefficients(
@@ -389,7 +490,7 @@ class TestApplyExpansion:
         )
         got = apply_expansion(op, columns, np.ones(op.n_vertices))
         assert got.shape == (op.n_vertices, 3)
-        assert [X.calls for X in made] == [37, 37]
+        assert len(calls) == 74
 
     def test_coefficient_columns_match_separate_applies_and_numpy_sum(self):
         # the (N, S) rank-1 accumulation against S one-column applies and a
