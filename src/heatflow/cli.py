@@ -1,10 +1,13 @@
 """Command-line entry point.
 
 Commands: smooth, wavelet, validate-sphere, benchmark, stats
-{ttest|hotelling|corr}, lbo. Every run writes a resolved-config JSON next to
-its outputs so results are reproducible; wall-clock timings go to a separate
-timing JSON so the data files stay byte-identical across runs. Exit codes:
-0 success, 1 runtime or domain error, 2 usage error.
+{ttest|hotelling|corr}, lbo. `stats corr` always pairs the two groups'
+subjects by file stem (column label of a stacked CSV); `validate-sphere`
+runs one dense eigensolve at the largest `--eigs` count and slices it for the
+others. Every run writes a resolved-config JSON next to its outputs so
+results are reproducible; wall-clock timings go to a separate timing JSON so
+the data files stay byte-identical across runs. Exit codes: 0 success, 1
+runtime or domain error, 2 usage error.
 """
 
 import argparse
@@ -40,7 +43,6 @@ from .solvers import (
 from .stats import correlation_map, hotelling_t2_map, two_sample_t_map, write_statmap
 from .wavelets import WaveletKernel, wavelet_stack
 
-_VALIDATION_CAPS = ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0))
 # validate-sphere method -> the flag listing its fidelity parameters
 _SPHERE_METHOD_FLAGS = {
     **dict.fromkeys(("chebyshev", "jacobi", "hermite", "laguerre"), "degree"),
@@ -161,35 +163,43 @@ def _cmd_wavelet(args):
     return 0
 
 
-def _run_sphere_method(op, signal, truth, sigma, method, param, es_cache, args):
+def _run_sphere_method(op, signal, truth, sigma, method, param, es, args):
+    """One report row; an eigen row uses the first param pairs of es."""
     t0 = time.perf_counter()
     if method == "fem":
-        g = fem_euler_smooth(op, signal, sigma, int(param))
+        g = fem_euler_smooth(op, signal, sigma, param)
     elif method == "eigen":
-        k = int(param)
-        if "es" not in es_cache or es_cache["es"].k < k:
-            es_cache["es"] = eigen_reference(op, k)
-        es = es_cache["es"]
-        if es.k > k:
-            es = EigenSystem(es.eigenvalues[:k], es.eigenvectors[:, :k])
-        g = eigen_smooth(es, op, signal, sigma)
+        g = eigen_smooth(EigenSystem(es.eigenvalues[:param], es.eigenvectors[:, :param]),
+                         op, signal, sigma)
     else:
-        g = heat_smooth(op, signal, sigma, family=_family_from_args(args, method), m=int(param))
+        g = heat_smooth(op, signal, sigma, family=_family_from_args(args, method), m=param)
     seconds = time.perf_counter() - t0
     return {
         "mesh_vertices": op.n_vertices,
         "sigma": sigma,
         "method": method,
-        "fidelity_param": int(param),
+        "fidelity_param": param,
         "mse": mse(g, truth),
         "wall_seconds": seconds,
     }
 
 
 def _cmd_validate_sphere(args):
+    methods = [tok for tok in args.method.split(",") if tok]
+    lists = {
+        flag: [int(t) for t in getattr(args, flag).split(",") if t]
+        for flag in ("degree", "iters", "eigs")
+    }
+    for method in methods:
+        if method not in _SPHERE_METHOD_FLAGS:
+            raise ValueError(f"unknown method {method!r}")
+        if not lists[_SPHERE_METHOD_FLAGS[method]]:
+            raise ValueError(f"method {method} needs --{_SPHERE_METHOD_FLAGS[method]}")
+    if "eigen" in methods and min(lists["eigs"]) < 1:
+        raise ValueError(f"--eigs counts must be >= 1, got {min(lists['eigs'])}")
     mesh = icosphere(args.subdiv)
     op = assemble_lb_operator(mesh)
-    signal = two_cap_signal(mesh, *_VALIDATION_CAPS, radius=args.cap_radius)
+    signal = two_cap_signal(mesh, radius=args.cap_radius)
     truth_degree = args.truth_degree
     cap = int(math.isqrt(mesh.n_vertices // 2)) - 1
     if truth_degree > cap:
@@ -200,21 +210,17 @@ def _cmd_validate_sphere(args):
         )
     truth = ground_truth_field(mesh, signal, truth_degree, args.sigma)
 
-    methods = [tok for tok in args.method.split(",") if tok]
-    lists = {
-        flag: [int(t) for t in getattr(args, flag).split(",") if t]
-        for flag in ("degree", "iters", "eigs")
-    }
+    es = None
+    if "eigen" in methods:
+        t0 = time.perf_counter()
+        es = eigen_reference(op, max(lists["eigs"]))
+        es_seconds = time.perf_counter() - t0
     rows = []
-    es_cache = {}
     for method in methods:
-        if method not in _SPHERE_METHOD_FLAGS:
-            raise ValueError(f"unknown method {method!r}")
-        flag = _SPHERE_METHOD_FLAGS[method]
-        if not lists[flag]:
-            raise ValueError(f"method {method} needs --{flag}")
-        for param in lists[flag]:
-            row = _run_sphere_method(op, signal, truth, args.sigma, method, param, es_cache, args)
+        for param in lists[_SPHERE_METHOD_FLAGS[method]]:
+            row = _run_sphere_method(op, signal, truth, args.sigma, method, param, es, args)
+            if method == "eigen":  # each eigen row is charged the one solve it slices
+                row["wall_seconds"] += es_seconds
             rows.append(row)
             print(
                 f"validate-sphere: N={row['mesh_vertices']} method={method} "
@@ -298,9 +304,7 @@ def _cmd_stats(args):
         out = hotelling_t2_map(a, b, fdr_q=args.fdr)
     else:
         a, b = _read_subject_fields(args.group_a), _read_subject_fields(args.group_b)
-        if args.paired:
-            b = _pair_by_stem(a, b, args.group_a, args.group_b)
-        out = correlation_map(a, b, paired=args.paired, fdr_q=args.fdr)
+        out = correlation_map(a, _pair_by_stem(a, b, args.group_a, args.group_b), fdr_q=args.fdr)
     csv_path = args.out + ".csv"
     json_path = args.out + ".json"
     write_statmap(out, csv_path, json_path)
@@ -327,7 +331,6 @@ def build_parser():
         prog="heatflow",
         description="Spectral heat diffusion, diffusion wavelets and vertex statistics on meshes",
     )
-    parser.add_argument("--seed", type=int, default=42, help="seed for randomized fixtures")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("smooth", help="heat kernel smoothing of a vertex signal")
@@ -374,7 +377,6 @@ def build_parser():
     p.add_argument("--group-a", required=True)
     p.add_argument("--group-b", required=True)
     p.add_argument("--fdr", type=float, default=None)
-    p.add_argument("--paired", action="store_true")
     p.add_argument("--out", required=True, help="output base path (.csv and .json added)")
     p.set_defaults(func=_cmd_stats)
 

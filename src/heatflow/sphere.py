@@ -221,8 +221,8 @@ def spharm_diffuse(coeffs, sigma):
 
 def two_cap_signal(mesh, center_plus=(0.0, 0.0, 1.0), center_minus=(1.0, 0.0, 0.0), radius=0.3):
     """+1 inside one geodesic cap, -1 inside the other, 0 elsewhere."""
-    if radius <= 0:
-        raise ValueError("cap radius must be positive")
+    if not (np.isfinite(radius) and radius > 0):
+        raise ValueError(f"cap radius must be a finite number > 0, got {radius}")
     cp = np.asarray(center_plus, dtype=float)
     cm = np.asarray(center_minus, dtype=float)
     cp = cp / np.linalg.norm(cp)

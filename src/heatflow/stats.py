@@ -174,8 +174,8 @@ def hotelling_t2_map(group_a, group_b, fdr_q=None):
     return _finalize(t2, p, (s, d2), flagged, fdr_q, n_a, n_b)
 
 
-def correlation_map(stack_a, stack_b, paired=True, fdr_q=None):
-    """Per-vertex Pearson correlation across aligned subjects.
+def correlation_map(stack_a, stack_b, fdr_q=None):
+    """Per-vertex Pearson correlation across subjects aligned column by column.
 
     p-values come from the Fisher z transform with standard error
     1/sqrt(n-3), two-sided normal tail. Zero-variance vertices are flagged
@@ -183,8 +183,6 @@ def correlation_map(stack_a, stack_b, paired=True, fdr_q=None):
     """
     a = _as_subject_matrix(stack_a)
     b = _as_subject_matrix(stack_b)
-    if not paired:
-        raise ValueError("correlation_map requires subject-aligned (paired) stacks")
     if a.shape != b.shape:
         raise ValueError(f"stack shapes differ: {a.shape} vs {b.shape}")
     n = a.shape[1]

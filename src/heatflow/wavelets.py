@@ -1,11 +1,13 @@
 """Band-pass diffusion wavelet transform by polynomial approximation.
 
-The spectral weight is the cubic-spline band-pass kernel g(lambda * t):
-a rising power law below x1, the cubic -5 + 11x - 6x^2 + x^3 on [x1, x2],
-and a decaying power law above x2. With the default parameters (alpha =
-beta = 2, x1 = 1, x2 = 2) the kernel is C^1, g(0) = 0 kills the DC mode,
-and g(x1) = g(x2) = 1. No closed-form expansion exists for this weight, so
-coefficients come from Gauss-Chebyshev quadrature per scale.
+The spectral weight is the cubic-spline band-pass kernel g(lambda * t) of
+Hammond, Vandergheynst & Gribonval (ACHA 2011), with its knots fixed at 1
+and 2: x^alpha below 1, the cubic -5 + 11x - 6x^2 + x^3 = 1 + (x-1)(x-2)(x-3)
+on [1, 2], and (2/x)^beta above 2. The cubic equals 1 at both knots, so the
+kernel is continuous for every alpha, beta > 0 and C^1 at the default
+alpha = beta = 2; g(0) = 0 kills the DC mode. No closed-form expansion
+exists for this weight, so coefficients come from Gauss-Chebyshev quadrature
+per scale.
 """
 
 import warnings
@@ -16,6 +18,7 @@ import numpy as np
 from .expansion import _coefficient_stack, apply_expansion, numeric_coefficients, resolve_family
 from .fields import FieldStack
 
+_X1, _X2 = 1.0, 2.0  # the knots: the interior cubic and both power branches are 1 there
 _DRIFT_TOL = 1e-10
 _MAX_DOUBLINGS = 6
 
@@ -26,35 +29,16 @@ class WaveletKernel:
 
     alpha: float = 2.0
     beta: float = 2.0
-    x1: float = 1.0
-    x2: float = 2.0
     t: float = 1.0
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.beta <= 0:
+        if not (self.alpha > 0 and self.beta > 0):
             raise ValueError("alpha and beta must be positive")
-        if not 0 < self.x1 < self.x2:
-            raise ValueError("need 0 < x1 < x2")
-        if self.t <= 0:
-            raise ValueError("scaling parameter t must be positive")
-        # the power branches equal 1 at their knots by construction; the
-        # interior cubic was derived for the default knots, so only check
-        # (not enforce) continuity elsewhere
-        for knot in (self.x1, self.x2):
-            if abs(_cubic(knot) - 1.0) > 1e-9:
-                warnings.warn(
-                    f"wavelet kernel discontinuous at x = {knot}: "
-                    f"cubic gives {_cubic(knot):.6g}, power branch gives 1",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
+        if not (np.isfinite(self.t) and self.t > 0):
+            raise ValueError(f"scaling parameter t must be a finite number > 0, got {self.t}")
 
     def with_scale(self, t):
         return replace(self, t=float(t))
-
-
-def _cubic(x):
-    return -5.0 + 11.0 * x - 6.0 * x * x + x * x * x
 
 
 def spline_kernel(kernel, x):
@@ -63,13 +47,14 @@ def spline_kernel(kernel, x):
     if np.any(x < 0):
         raise ValueError("spline kernel defined for x >= 0")
     out = np.empty_like(x)
-    low = x < kernel.x1
-    high = x > kernel.x2
+    low = x < _X1
+    high = x > _X2
     mid = ~(low | high)
-    out[low] = kernel.x1 ** (-kernel.alpha) * x[low] ** kernel.alpha
-    out[mid] = _cubic(x[mid])
+    out[low] = x[low] ** kernel.alpha  # (x / _X1)^alpha with _X1 = 1
+    xm = x[mid]
+    out[mid] = -5.0 + 11.0 * xm - 6.0 * xm * xm + xm * xm * xm
     with np.errstate(divide="ignore"):
-        out[high] = (kernel.x2 / x[high]) ** kernel.beta
+        out[high] = (_X2 / x[high]) ** kernel.beta
     if out.ndim == 0:
         return float(out)
     return out
@@ -127,10 +112,8 @@ def wavelet_stack(op, f, kernel, scales, m=300):
     scales = [float(t) for t in scales]
     if not scales:
         raise ValueError("scales must be nonempty")
-    if any(t <= 0 for t in scales):
-        raise ValueError("scales must be positive")
+    kernels = tuple(kernel.with_scale(t) for t in scales)
     if any(b <= a for a, b in zip(scales, scales[1:])):
         raise ValueError("scales must be strictly increasing")
-    kernels = tuple(kernel.with_scale(t) for t in scales)
     coeffs = _coefficient_stack(_kernel_column, resolve_family(op), kernels, m)
     return FieldStack(apply_expansion(op, coeffs, f), [repr(t) for t in scales], "scales")

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import heatflow.cli
 from heatflow.cli import main
 from heatflow.expansion import PolynomialFamily, heat_coefficients, spectral_bound
 from heatflow.fields import read_field_csv, read_stack_csv, write_field_csv, write_stack_csv, FieldStack
@@ -181,8 +182,68 @@ class TestWaveletCommand:
             ])
         assert err.value.code == 2
 
+    def test_non_finite_scale_named(self, sphere_fixture, tmp_path, capsys):
+        _, _, mesh_path, signal_path, _ = sphere_fixture
+        out = tmp_path / "w.csv"
+        assert main([
+            "wavelet", "--mesh", str(mesh_path), "--signal", str(signal_path),
+            "--scales", "0.002,inf", "--out", str(out),
+        ]) == 1
+        assert "t must be a finite number > 0, got inf" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def _validate_eigen(tmp_path, eigs):
+    """The benchmark CSV rows of a subdiv-2 eigen run, without the seconds column."""
+    bench = tmp_path / f"bench_{eigs}.csv"
+    assert main([
+        "validate-sphere", "--subdiv", "2", "--sigma", "0.01", "--method", "eigen",
+        "--eigs", eigs, "--out-report", str(tmp_path / f"r_{eigs}.json"),
+        "--out-benchmark", str(bench),
+    ]) == 0
+    return [line.rsplit(",", 1)[0] for line in bench.read_text().splitlines()[1:]]
+
 
 class TestValidateSphereCommand:
+    def test_eigen_solves_once_at_largest_count(self, tmp_path, monkeypatch):
+        counts = []
+        real = heatflow.cli.eigen_reference
+        monkeypatch.setattr(
+            heatflow.cli, "eigen_reference", lambda op, k: counts.append(k) or real(op, k)
+        )
+        rows = _validate_eigen(tmp_path, "20,60")
+        assert counts == [60]
+        assert [row.split(",")[4] for row in rows] == ["20", "60"]
+
+    def test_eigen_rows_do_not_depend_on_count_order(self, tmp_path):
+        assert _validate_eigen(tmp_path, "60,20") == _validate_eigen(tmp_path, "20,60")[::-1]
+
+    @pytest.mark.parametrize("method, flag, value, message", [
+        ("eigen", "--eigs", "0,20", "--eigs counts must be >= 1, got 0"),
+        ("chebyshevv", "--degree", "30", "unknown method 'chebyshevv'"),
+    ])
+    def test_bad_method_list_fails_before_the_truth_fit(
+        self, tmp_path, capsys, monkeypatch, method, flag, value, message
+    ):
+        fits = []
+        monkeypatch.setattr(heatflow.cli, "ground_truth_field", lambda *a: fits.append(a))
+        assert main([
+            "validate-sphere", "--subdiv", "1", "--sigma", "0.01", "--method", method,
+            flag, value, "--out-report", str(tmp_path / "r.json"),
+            "--out-benchmark", str(tmp_path / "b.csv"),
+        ]) == 1
+        assert message in capsys.readouterr().err
+        assert fits == []
+
+    def test_nan_cap_radius_exits_1(self, tmp_path, capsys):
+        assert main([
+            "validate-sphere", "--subdiv", "2", "--sigma", "0.01", "--method", "chebyshev",
+            "--degree", "30", "--cap-radius", "nan", "--out-report", str(tmp_path / "r.json"),
+            "--out-benchmark", str(tmp_path / "b.csv"),
+        ]) == 1
+        assert "cap radius must be a finite number > 0, got nan" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_chebyshev_and_fem_report(self, tmp_path):
         report = tmp_path / "report.json"
         bench = tmp_path / "bench.csv"
@@ -306,10 +367,17 @@ class TestStatsCommand:
         out = tmp_path / "corr"
         assert main([
             "stats", "corr", "--group-a", str(ga), "--group-b", str(gb),
-            "--paired", "--out", str(out),
+            "--out", str(out),
         ]) == 0
         rows = np.loadtxt(tmp_path / "corr.csv", delimiter=",", skiprows=1)
         assert np.all(np.abs(rows[:, 1]) <= 1.0)
+
+    @pytest.mark.parametrize("before, after", [(["--seed", "1"], []), ([], ["--paired"])])
+    def test_removed_flags_are_usage_errors(self, tmp_path, before, after):
+        with pytest.raises(SystemExit) as err:
+            main(before + ["stats", "corr", "--group-a", str(tmp_path), "--group-b",
+                           str(tmp_path), "--out", str(tmp_path / "corr")] + after)
+        assert err.value.code == 2
 
     def test_corr_paired_names_unmatched_stem(self, tmp_path, capsys):
         rng = np.random.default_rng(6)
@@ -318,7 +386,7 @@ class TestStatsCommand:
         (gb / "subj04.csv").rename(gb / "subj07.csv")
         assert main([
             "stats", "corr", "--group-a", str(ga), "--group-b", str(gb),
-            "--paired", "--out", str(tmp_path / "corr"),
+            "--out", str(tmp_path / "corr"),
         ]) == 1
         assert f"{ga}: subject subj04 has no partner in {gb}" in capsys.readouterr().err
         assert not (tmp_path / "corr.csv").exists()
@@ -331,7 +399,7 @@ class TestStatsCommand:
         write_stack_csv(stacked, FieldStack(rng.standard_normal((10, 3)), labels, "subjects"))
         assert main([
             "stats", "corr", "--group-a", str(ga), "--group-b", str(stacked),
-            "--paired", "--out", str(tmp_path / "corr"),
+            "--out", str(tmp_path / "corr"),
         ]) == 1
         assert f"{stacked}: repeated subject names cannot be paired" in capsys.readouterr().err
 
@@ -349,7 +417,7 @@ class TestStatsCommand:
         for group_b, out in ((gb, "by_dir"), (shuffled, "by_stack")):
             assert main([
                 "stats", "corr", "--group-a", str(ga), "--group-b", str(group_b),
-                "--paired", "--out", str(tmp_path / out),
+                "--out", str(tmp_path / out),
             ]) == 0
         assert (tmp_path / "by_dir.csv").read_bytes() == (tmp_path / "by_stack.csv").read_bytes()
 

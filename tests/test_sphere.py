@@ -207,6 +207,11 @@ class TestTwoCapSignal:
         with pytest.raises(ValueError, match="overlap"):
             two_cap_signal(mesh, (0, 0, 1), (0.1, 0, 1), 0.5)
 
+    @pytest.mark.parametrize("radius", ["nan", "inf", "0.0"])
+    def test_bad_radius_named(self, radius):
+        with pytest.raises(ValueError, match=f"radius must be a finite number > 0, got {radius}"):
+            two_cap_signal(icosphere(2), radius=float(radius))
+
 
 class TestGroundTruth:
     def test_sigma_zero_is_bandlimited_projection(self):

@@ -211,11 +211,6 @@ class TestCorrelationMap:
         assert out.flagged[0]
         assert out.p_values[0] == 1.0
 
-    def test_unpaired_rejected(self):
-        vals = subjects(np.zeros((3, 4)))
-        with pytest.raises(ValueError, match="paired"):
-            correlation_map(vals, vals, paired=False)
-
 
 class TestPValueHelpers:
     def test_student_t_symmetric_in_t(self):

@@ -56,17 +56,22 @@ class TestSplineKernel:
             right = (spline_kernel(k, knot + h) - spline_kernel(k, knot)) / h
             assert left == pytest.approx(right, abs=1e-5)
 
-    def test_nondefault_parameters_warn_when_discontinuous(self):
-        with pytest.warns(RuntimeWarning, match="discontinuous"):
-            WaveletKernel(x1=0.5)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             WaveletKernel(alpha=-1.0)
         with pytest.raises(ValueError):
-            WaveletKernel(x1=2.0, x2=1.0)
+            WaveletKernel(beta=float("nan"))
         with pytest.raises(ValueError):
             WaveletKernel(t=0.0)
+
+    @pytest.mark.parametrize("t", ["nan", "inf"])
+    def test_non_finite_scale_named(self, t):
+        with pytest.raises(ValueError, match=f"t must be a finite number > 0, got {t}"):
+            WaveletKernel(t=float(t))
+
+    def test_knots_are_not_settable(self):
+        with pytest.raises(TypeError):
+            WaveletKernel(x1=0.5)
 
 
 class TestKernelCoefficients:
@@ -163,6 +168,11 @@ class TestWaveletStack:
             wavelet_stack(wav_op, wav_field, WaveletKernel(), [], m=100)
         with pytest.raises(ValueError):
             wavelet_stack(wav_op, wav_field, WaveletKernel(), [0.01, 0.005], m=100)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-0.001"])
+    def test_bad_scale_named(self, wav_op, wav_field, bad):
+        with pytest.raises(ValueError, match=f"t must be a finite number > 0, got {bad}"):
+            wavelet_stack(wav_op, wav_field, WaveletKernel(), [0.002, float(bad)], m=100)
 
 
 class TestStackCoefficientCache:
