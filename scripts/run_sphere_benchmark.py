@@ -15,6 +15,18 @@ from pathlib import Path
 
 from heatflow.cli import main as cli_main
 
+# Eigenfunction counts that close full bands of the icosphere spectrum, so no
+# count splits a cluster of equal eigenvalues and each eigen row is the same
+# whichever basis of a cluster the solver returns.
+EIGEN_COUNTS = (16, 64, 121, 196)
+
+
+def eigen_counts(n_vertices):
+    """The EIGEN_COUNTS of at most half the vertices: past that the mesh no
+    longer resolves the bands (validate-sphere caps the truth degree alike)
+    and its own symmetry splits them into other clusters."""
+    return [k for k in EIGEN_COUNTS if k <= n_vertices // 2]
+
 
 def run(outdir, subdivs, sigma):
     outdir = Path(outdir)
@@ -27,7 +39,7 @@ def run(outdir, subdivs, sigma):
         methods = "chebyshev,jacobi,laguerre,fem"
         degrees = "15,25,35,45,60,90,120"
         iters = "30,60,120,240,405,810"
-        eigs = [k for k in (20, 60, 120, 210) if k <= n_vertices]
+        eigs = eigen_counts(n_vertices)
         argv = [
             "validate-sphere",
             "--subdiv", str(subdiv),

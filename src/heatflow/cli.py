@@ -13,10 +13,8 @@ runtime or domain error, 2 usage error.
 import argparse
 import json
 import math
-import os
 import sys
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -49,27 +47,6 @@ _SPHERE_METHOD_FLAGS = {
     "fem": "iters",
     "eigen": "eigs",
 }
-
-
-def _limit_threads():
-    cap = os.environ.get("HEATFLOW_THREADS")
-    if not cap:
-        return None
-    try:
-        limit = int(cap)
-    except ValueError:
-        limit = 0
-    if limit < 1:
-        reason = f"HEATFLOW_THREADS={cap!r} is not a positive integer"
-    else:
-        try:
-            import threadpoolctl
-        except ImportError:
-            reason = "HEATFLOW_THREADS is set but threadpoolctl is not installed"
-        else:
-            return threadpoolctl.threadpool_limits(limits=limit)
-    warnings.warn(f"{reason}; thread count not capped", RuntimeWarning, stacklevel=2)
-    return None
 
 
 def _write_json(path, payload):
@@ -309,8 +286,7 @@ def _cmd_stats(args):
     json_path = args.out + ".json"
     write_statmap(out, csv_path, json_path)
     _echo_config(args, args.out)
-    n_sig = int(out.significant.sum()) if out.significant is not None else 0
-    print(f"stats {args.test}: N={out.statistic.size} significant={n_sig}")
+    print(f"stats {args.test}: N={out.statistic.size} significant={int(out.significant.sum())}")
     return 0
 
 
@@ -391,7 +367,6 @@ def build_parser():
 
 
 def main(argv=None):
-    _limit_threads()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -36,9 +36,6 @@ _FIRST_BLOCK = 32
 # m=None in the unscaled families, whose polynomials are unbounded on the
 # spectrum and so give no tail bound.
 _UNSCALED_DEGREE = 1000
-# estimate_lambda_max solves densely below this many vertices, where that beats
-# ARPACK (1.3 against 2.4 ms at 162 vertices; 22 against 3.8 ms at 642).
-_DENSE_ESTIMATE_N = 256
 # (column, family, params, m) coefficient stacks kept for reuse; a group study
 # asks for the same heat and wavelet stacks for every subject.
 _STACK_CACHE_SIZE = 32
@@ -414,18 +411,16 @@ def estimate_lambda_max(op):
     """Estimate of the largest eigenvalue of Delta = A^-1 C, not a bound.
 
     1.01 x the top eigenvalue of A^-1/2 C A^-1/2 from Lanczos (scipy eigsh,
-    relative tolerance 1e-6, seeded start vector), or dense below
-    _DENSE_ESTIMATE_N vertices. It serves the forward-Euler stability check
-    and the caution on unscaled families; b comes from spectral_bound.
-    Cached on the operator.
+    relative tolerance 1e-6, seeded start vector) at every mesh size, 0 for
+    a zero operator. It serves the forward-Euler stability check and the
+    caution on unscaled families; b comes from spectral_bound. Cached on the
+    operator.
     """
     if op.lambda_max_hint is None:
         d = 1.0 / np.sqrt(op.A)
         S = op.C.multiply(d[:, None]).multiply(d[None, :]).tocsr()
         if S.count_nonzero() == 0:
             top = 0.0
-        elif op.n_vertices < _DENSE_ESTIMATE_N:
-            top = np.linalg.eigvalsh(S.toarray())[-1]
         else:
             from scipy.sparse.linalg import eigsh  # kept out of the CLI's start-up
 

@@ -83,8 +83,9 @@ def read_rows(fh, path, kind, start, rows=None, *, skip=0, usecols=None, width=N
 
     usecols keeps some columns and ignores any further ones; width fixes the
     column count; without either each line is one value. Only when loadtxt
-    fails, or finds fewer rows than declared or none at all, is the file
-    rescanned from line `start`, past `skip` data rows, to name the bad line.
+    fails, finds fewer rows than declared or none at all, or reads a NaN or
+    infinity into a float block, is the file rescanned from line `start`, past
+    `skip` data rows, to name the bad line.
     """
     error = None
     try:
@@ -99,7 +100,11 @@ def read_rows(fh, path, kind, start, rows=None, *, skip=0, usecols=None, width=N
     else:
         complete = len(arr) > 0 if rows is None else len(arr) == rows
         if complete and (usecols is not None or arr.shape[1] == (width or 1)):
-            return arr
+            bad = np.flatnonzero(~np.isfinite(arr).all(axis=1)) if dtype is float else ()
+            if not len(bad):
+                return arr
+            line = data_line(path, start, skip + bad[0], comments)
+            raise ValueError(f"{path}:{line}: non-finite value in {kind}")
     found, last = -skip, start
     for lineno, text in _data_lines(path, start, comments):
         if found == rows:

@@ -22,18 +22,19 @@ _SINGULAR_REL = 1e-12
 
 @dataclass(frozen=True)
 class StatMap:
-    """Per-vertex statistic with p-values and optional BH-FDR decisions."""
+    """Per-vertex statistic, p-values, BH-FDR mask (all False without an FDR
+    rate), degenerate-vertex flags and group sizes."""
 
     statistic: np.ndarray
     p_values: np.ndarray
     dof: tuple
+    significant: np.ndarray
+    flagged: np.ndarray
+    n_a: int
+    n_b: int
     fdr_q: float | None = None
     fdr_threshold: float | None = None
-    significant: np.ndarray | None = None
-    flagged: np.ndarray | None = None
     min_rejected_stat: float | None = None
-    n_a: int | None = None
-    n_b: int | None = None
 
     def __post_init__(self):
         stat = np.asarray(self.statistic, dtype=float)
@@ -93,16 +94,13 @@ def bh_fdr(p_values, q):
 
 def _finalize(stat, p, dof, flagged, fdr_q, n_a, n_b):
     if fdr_q is None:
-        return StatMap(
-            stat, p, dof, flagged=flagged, n_a=n_a, n_b=n_b,
-            significant=np.zeros(stat.size, dtype=bool),
-        )
-    threshold, mask = bh_fdr(p, fdr_q)
+        threshold, mask = None, np.zeros(stat.size, dtype=bool)
+    else:
+        threshold, mask = bh_fdr(p, fdr_q)
     min_stat = float(np.abs(stat[mask]).min()) if mask.any() else None
     return StatMap(
-        stat, p, dof,
-        fdr_q=fdr_q, fdr_threshold=threshold, significant=mask,
-        flagged=flagged, min_rejected_stat=min_stat, n_a=n_a, n_b=n_b,
+        stat, p, dof, mask, flagged, n_a, n_b,
+        fdr_q=fdr_q, fdr_threshold=threshold, min_rejected_stat=min_stat,
     )
 
 
@@ -204,14 +202,9 @@ def correlation_map(stack_a, stack_b, fdr_q=None):
 
 def write_statmap(statmap, csv_path, json_path):
     """StatMap CSV (vertex,stat,p,significant) plus the JSON sidecar."""
-    sig = (
-        statmap.significant
-        if statmap.significant is not None
-        else np.zeros(statmap.statistic.size, dtype=bool)
-    )
     n = statmap.statistic.size
     # one float row per vertex; "%d" prints the exactly held index and flag
-    rows = np.column_stack([np.arange(n), statmap.statistic, statmap.p_values, sig])
+    rows = np.column_stack([np.arange(n), statmap.statistic, statmap.p_values, statmap.significant])
     with open(csv_path, "w") as fh:
         fh.write("vertex,stat,p,significant\n")
         fh.write("%d,%.16e,%.16e,%d\n" * n % tuple(rows.ravel().tolist()))
@@ -222,7 +215,7 @@ def write_statmap(statmap, csv_path, json_path):
         "n_a": statmap.n_a,
         "n_b": statmap.n_b,
         "min_rejected_stat": statmap.min_rejected_stat,
-        "n_flagged": int(statmap.flagged.sum()) if statmap.flagged is not None else 0,
+        "n_flagged": int(statmap.flagged.sum()),
     }
     with open(json_path, "w") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)

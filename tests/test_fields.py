@@ -100,6 +100,22 @@ def test_bad_stack_value_names_line(tmp_path):
         read_stack_csv(p)
 
 
+@pytest.mark.parametrize("token", ["nan", "-inf"])
+def test_non_finite_field_value_names_line(tmp_path, token):
+    p = tmp_path / "f.csv"
+    p.write_text(f"1.0\n\n2.0\n{token}\n3.0\n")
+    with pytest.raises(ValueError, match=r"f\.csv:4: non-finite value in field CSV$"):
+        read_field_csv(p)
+
+
+@pytest.mark.parametrize("token", ["NaN", "inf"])
+def test_non_finite_stack_value_names_line(tmp_path, token):
+    p = tmp_path / "s.csv"
+    p.write_text(f"\na,b\n1.0,2.0\n3.0,{token}\n")
+    with pytest.raises(ValueError, match=r"s\.csv:4: non-finite value in stack CSV$"):
+        read_stack_csv(p)
+
+
 def test_empty_field_csv_rejected(tmp_path):
     p = tmp_path / "empty.csv"
     p.write_text("\n\n")

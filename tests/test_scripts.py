@@ -1,5 +1,6 @@
-"""Smoke tests: each script in scripts/ runs end to end on a small input."""
+"""Tests of scripts/: each runs end to end on a small input; the sphere sweep's eigen counts close clusters."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -7,6 +8,10 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from heatflow.mesh import assemble_lb_operator
+from heatflow.solvers import eigen_reference
+from heatflow.sphere import icosphere
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -31,3 +36,23 @@ def test_script_runs(tmp_path, script, args, output):
     assert proc.returncode == 0, proc.stderr
     assert json.loads((tmp_path / "out" / output).read_text())
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]  # nothing written elsewhere
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(Path(name).stem, ROOT / "scripts" / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("subdiv", [1, 2, 3])
+def test_sphere_benchmark_eigen_counts_close_clusters(subdiv):
+    # a count inside a cluster of equal eigenvalues makes its row depend on
+    # which basis of the cluster eigh returns
+    script = load_script("run_sphere_benchmark.py")
+    op = assemble_lb_operator(icosphere(subdiv))
+    counts = script.eigen_counts(op.n_vertices)
+    assert counts
+    lam = eigen_reference(op, max(counts) + 1).eigenvalues
+    for k in counts:
+        assert lam[k] - lam[k - 1] > 1e-2 * lam[k], k

@@ -270,7 +270,7 @@ def test_statmap_csv_bytes_match_per_row_format(tmp_path):
     # p = 0 and 1 are the p-value extremes; every other p repeats a middle value
     p = np.array([0.0, 1.0, 0.5, 1e-300, 0.25, 1.0, 0.0, 0.125])
     sig = np.array([True, False, True, True, False, False, True, False])
-    statmap = StatMap(np.array(EDGE_STATS), p, (3,), significant=sig)
+    statmap = StatMap(np.array(EDGE_STATS), p, (3,), sig, np.zeros(8, dtype=bool), 2, 3)
     write_statmap(statmap, tmp_path / "m.csv", tmp_path / "m.json")
     rows = "".join(
         f"{i},{t:.16e},{q:.16e},{int(s)}\n" for i, (t, q, s) in enumerate(zip(EDGE_STATS, p, sig))
