@@ -244,16 +244,12 @@ class TestEstimateLambdaMax:
         fine = assemble_lb_operator(make_grid_mesh(11, 11, spacing=0.5))
         assert estimate_lambda_max(fine) > estimate_lambda_max(coarse)
 
-    @pytest.mark.parametrize(
-        "mesh",
-        [make_grid_mesh(20, 20, bump=0.5), make_grid_mesh(9, 8, bump=0.5), icosphere(1)],
-        ids=["grid-400", "grid-72", "icosphere-42"],
-    )
-    def test_lanczos_matches_dense_top_eigenvalue(self, mesh):
-        op = assemble_lb_operator(mesh)
-        lam, _ = dense_eigensystem(op)
-        got = estimate_lambda_max(op)
-        assert abs(got / 1.01 - lam.max()) <= 1e-6 * lam.max()
+    def test_lanczos_matches_dense_top_eigenvalue(self):
+        for mesh in (make_grid_mesh(20, 20, bump=0.5), make_grid_mesh(9, 8, bump=0.5), icosphere(1)):
+            op = assemble_lb_operator(mesh)
+            lam, _ = dense_eigensystem(op)
+            got = estimate_lambda_max(op)
+            assert abs(got / 1.01 - lam.max()) <= 1e-6 * lam.max(), op.n_vertices
 
 
 def _compact(verts, faces):

@@ -1,4 +1,5 @@
-"""Tests of scripts/: each runs end to end on a small input; the sphere sweep's eigen counts close clusters."""
+"""Tests of scripts/: each runs end to end on a small input, and the sphere
+sweep's eigen counts close eigenvalue clusters."""
 
 import importlib.util
 import json
