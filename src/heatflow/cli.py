@@ -83,10 +83,11 @@ def _cmd_smooth(args):
         raise ValueError(f"--steps must be >= 1, got {args.steps}")
     if args.degree is not None and args.degree < 0:
         raise ValueError(f"--degree must be >= 0, got {args.degree}")
+    family = _family_from_args(args, args.family)
     t0 = time.perf_counter()
     mesh = load_mesh(args.mesh)
     op = assemble_lb_operator(mesh)
-    family = resolve_family(op, _family_from_args(args, args.family), args.sigma)
+    family = resolve_family(op, family, args.sigma)
     t_assembly = time.perf_counter() - t0
 
     f = _read_signal(args.signal, mesh)
@@ -190,8 +191,17 @@ def _cmd_validate_sphere(args):
     es = None
     if "eigen" in methods:
         t0 = time.perf_counter()
-        es = eigen_reference(op, max(lists["eigs"]))
+        k_max = max(lists["eigs"])  # one pair more, when there is one, shows the gap after k_max
+        es = eigen_reference(op, k_max + 1 if k_max < mesh.n_vertices else k_max)
         es_seconds = time.perf_counter() - t0
+        # a count k with (lam_{k+1} - lam_k) / lam_{k+1} < 1e-8 keeps part of a cluster of
+        # equal eigenvalues, so its row depends on which basis of it the solver returns
+        lam = es.eigenvalues
+        closes = [k for k in range(1, lam.size) if lam[k] - lam[k - 1] >= 1e-8 * lam[k]]
+        for k in sorted(set(lists["eigs"]) - set(closes) - {mesh.n_vertices}):  # N splits nothing
+            below = max(j for j in closes if j < k)  # closes holds 1: lam_1 = 0 is simple
+            print(f"validate-sphere: --eigs {k} splits the eigenvalue cluster at {lam[k - 1]:.6g}; "
+                  f"the largest count below it that closes a cluster is {below}", file=sys.stderr)
     rows = []
     for method in methods:
         for param in lists[_SPHERE_METHOD_FLAGS[method]]:

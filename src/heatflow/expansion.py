@@ -63,8 +63,10 @@ class PolynomialFamily:
         if self.kind == "jacobi":
             if self.alpha is None or self.beta is None:
                 raise ValueError("jacobi family requires alpha and beta")
-            if self.alpha <= -1 or self.beta <= -1:
-                raise ValueError("jacobi requires alpha > -1 and beta > -1")
+            for name in ("alpha", "beta"):
+                value = getattr(self, name)
+                if not (math.isfinite(value) and value > -1):
+                    raise ValueError(f"jacobi {name} must be a finite number > -1, got {value}")
         if self.b is not None and not (math.isfinite(self.b) and self.b > 0):
             raise ValueError(f"domain scale b must be a finite number > 0, got {self.b}")
 

@@ -187,6 +187,8 @@ def spharm_fit(mesh, f, L):
     if f.shape != (mesh.n_vertices,):
         raise ValueError("field length does not match mesh")
     L = int(L)
+    if L < 0:
+        raise ValueError(f"SPHARM degree L must be >= 0, got {L}")
     n_cols = (L + 1) * (L + 1)
     if n_cols > mesh.n_vertices:
         raise ValueError(

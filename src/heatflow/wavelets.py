@@ -10,7 +10,6 @@ exists for this weight, so coefficients come from Gauss-Chebyshev quadrature
 per scale.
 """
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -19,8 +18,6 @@ from .expansion import _coefficient_stack, apply_expansion, numeric_coefficients
 from .fields import FieldStack
 
 _X1, _X2 = 1.0, 2.0  # the knots: the interior cubic and both power branches are 1 there
-_DRIFT_TOL = 1e-10
-_MAX_DOUBLINGS = 6
 
 
 @dataclass(frozen=True)
@@ -32,10 +29,10 @@ class WaveletKernel:
     t: float = 1.0
 
     def __post_init__(self):
-        if not (self.alpha > 0 and self.beta > 0):
-            raise ValueError("alpha and beta must be positive")
-        if not (np.isfinite(self.t) and self.t > 0):
-            raise ValueError(f"scaling parameter t must be a finite number > 0, got {self.t}")
+        for name in ("alpha", "beta", "t"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be a finite number > 0, got {value}")
 
     def with_scale(self, t):
         return replace(self, t=float(t))
@@ -61,28 +58,15 @@ def spline_kernel(kernel, x):
 
 
 def kernel_coefficients(kernel, family, m):
-    """Chebyshev/Jacobi coefficients of lambda -> g(lambda t) by quadrature.
+    """Chebyshev/Jacobi coefficients of lambda -> g(lambda t) by one quadrature.
 
-    The kernel is only C^1 at its knots, so node counts start at 4(m+1) and
-    double until the coefficients stop drifting.
+    One Gauss quadrature at K = 8(m+1) nodes, for Chebyshev one DCT-II. There
+    aliasing folds each c_j with j >= 2K - m = 15m + 16 onto at most one kept
+    degree, so sum_{n<=m} |c~_n - c_n| <= sum_{j>15m+15} |c_j|: below the
+    truncation tail past m that the degree-m expansion already leaves.
     """
     weight = lambda lam: spline_kernel(kernel, lam * kernel.t)
-    nodes = 4 * (m + 1)
-    coeffs = numeric_coefficients(weight, family, m, nodes=nodes)
-    for _ in range(_MAX_DOUBLINGS):
-        nodes *= 2
-        refined = numeric_coefficients(weight, family, m, nodes=nodes)
-        drift = np.abs(refined.coeffs - coeffs.coeffs).max()
-        coeffs = refined
-        if drift < _DRIFT_TOL:
-            break
-    else:
-        warnings.warn(
-            f"wavelet coefficients still drifting {drift:.2e} at {nodes} nodes",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return coeffs
+    return numeric_coefficients(weight, family, m, nodes=8 * (m + 1))
 
 
 def _kernel_column(family, kernel, m):

@@ -98,6 +98,18 @@ class TestSmoothCommand:
                 "--sigma", "0.01", "--degree", "40", "--out", str(tmp_path / "g.csv"),
             ]) == 0
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_jacobi_exponent_rejected_before_mesh_load(
+        self, sphere_fixture, tmp_path, capsys, value
+    ):
+        _, _, _, signal_path, _ = sphere_fixture
+        assert main([
+            "smooth", "--mesh", str(tmp_path / "none.off"), "--signal", str(signal_path),
+            "--sigma", "0.1", "--family", "jacobi", "--alpha", value,
+            "--out", str(tmp_path / "x.csv"),
+        ]) == 1
+        assert f"jacobi alpha must be a finite number > -1, got {value}" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "flag, value",
         [
@@ -221,11 +233,39 @@ class TestValidateSphereCommand:
             heatflow.cli, "eigen_reference", lambda op, k: counts.append(k) or real(op, k)
         )
         rows = _validate_eigen(tmp_path, "20,60")
-        assert counts == [60]
+        assert counts == [61]
         assert [row.split(",")[4] for row in rows] == ["20", "60"]
 
     def test_eigen_rows_do_not_depend_on_count_order(self, tmp_path):
         assert _validate_eigen(tmp_path, "60,20") == _validate_eigen(tmp_path, "20,60")[::-1]
+
+    def test_counts_that_split_a_cluster_are_named(self, tmp_path, capsys):
+        # at subdiv 2 the gaps after 16 and 21 are 0.4 and 5e-3; 20 and 60
+        # each keep part of a cluster of equal eigenvalues
+        _validate_eigen(tmp_path, "16,20,21,60")
+        warned = [line for line in capsys.readouterr().err.splitlines() if "splits" in line]
+        assert len(warned) == 2
+        assert warned[0].startswith("validate-sphere: --eigs 20 splits the eigenvalue cluster at 18.0043;")
+        assert warned[0].endswith("closes a cluster is 16")
+        assert warned[1].startswith("validate-sphere: --eigs 60 splits")
+
+    def test_eigen_count_of_every_vertex_solves_no_extra_pair(self, tmp_path, capsys):
+        # icosphere(1) has 42 vertices: the full solve splits nothing
+        assert main([
+            "validate-sphere", "--subdiv", "1", "--sigma", "0.01", "--method", "eigen",
+            "--eigs", "42", "--out-report", str(tmp_path / "r.json"),
+            "--out-benchmark", str(tmp_path / "b.csv"),
+        ]) == 0
+        assert "splits" not in capsys.readouterr().err
+
+    def test_negative_truth_degree_exits_1(self, tmp_path, capsys):
+        assert main([
+            "validate-sphere", "--subdiv", "2", "--sigma", "0.01", "--method", "chebyshev",
+            "--degree", "30", "--truth-degree", "-1", "--out-report", str(tmp_path / "r.json"),
+            "--out-benchmark", str(tmp_path / "b.csv"),
+        ]) == 1
+        assert "SPHARM degree L must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("method, flag, value, message", [
         ("eigen", "--eigs", "0,20", "--eigs counts must be >= 1, got 0"),

@@ -83,6 +83,13 @@ class TestRecurrenceParams:
         with pytest.raises(ValueError):
             PolynomialFamily.chebyshev(b=-2.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_jacobi_exponent_named(self, value):
+        with pytest.raises(ValueError, match=f"jacobi alpha must be a finite number > -1, got {value}"):
+            PolynomialFamily.jacobi(value, 0.0)
+        with pytest.raises(ValueError, match=f"jacobi beta must be a finite number > -1, got {value}"):
+            PolynomialFamily.jacobi(0.0, value)
+
     @pytest.mark.parametrize("b", [math.inf, -math.inf, math.nan])
     def test_non_finite_b_rejected(self, b):
         for make in (

@@ -156,6 +156,10 @@ class TestSpharmFit:
         with pytest.raises(ValueError, match="exceeds"):
             spharm_fit(mesh, np.zeros(12), 4)
 
+    def test_negative_degree_refused(self):
+        with pytest.raises(ValueError, match="SPHARM degree L must be >= 0, got -1"):
+            spharm_fit(icosphere(0), np.zeros(12), -1)
+
 
 class TestSpharmDiffuse:
     def test_sigma_zero_identity(self):

@@ -1,12 +1,20 @@
 import inspect
+import warnings
 
 import numpy as np
 import pytest
 
 import heatflow.wavelets as wavelets
-from heatflow.expansion import PolynomialFamily, _coefficient_stack, resolve_family
+from heatflow.expansion import (
+    PolynomialFamily,
+    _coefficient_stack,
+    numeric_coefficients,
+    resolve_family,
+    spectral_bound,
+)
 from heatflow.mesh import assemble_lb_operator
 from heatflow.solvers import eigen_reference
+from heatflow.sphere import icosphere
 from heatflow.wavelets import (
     WaveletKernel,
     kernel_coefficients,
@@ -69,6 +77,12 @@ class TestSplineKernel:
         with pytest.raises(ValueError, match=f"t must be a finite number > 0, got {t}"):
             WaveletKernel(t=float(t))
 
+    @pytest.mark.parametrize("name", ["alpha", "beta"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_exponent_named(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be a finite number > 0, got {value}"):
+            WaveletKernel(**{name: float(value)})
+
     def test_knots_are_not_settable(self):
         with pytest.raises(TypeError):
             WaveletKernel(x1=0.5)
@@ -98,6 +112,34 @@ class TestKernelCoefficients:
         coeffs = kernel_coefficients(kern, fam, 500)
         err = np.abs(evaluate_expansion(coeffs, lam) - spline_kernel(kern, lam * 0.011))
         assert err.max() <= 1e-5
+
+    @pytest.mark.parametrize(
+        "b, m",
+        [(None, 120), (26733.0, 120), (26733.0, 300)],
+        ids=["icosphere3-m120", "b26733-m120", "b26733-m300"],
+    )
+    def test_aliasing_bounded_by_tail_past_15m(self, b, m):
+        # one quadrature at K = 8(m+1) nodes folds each c_j with j >= 2K - m =
+        # 15m + 16 onto at most one kept degree, so its l1 error is at most that tail
+        b = spectral_bound(assemble_lb_operator(icosphere(3))) if b is None else b
+        fam = PolynomialFamily.chebyshev(b=b)
+        for t in DEFAULT_SCALES:
+            kern = WaveletKernel(t=t)
+            weight = lambda lam: spline_kernel(kern, lam * t)
+            ref = numeric_coefficients(weight, fam, 2**15 - 1, nodes=2**16).coeffs
+            got = kernel_coefficients(kern, fam, m).coeffs
+            alias = np.abs(got - ref[: m + 1]).sum()
+            assert alias <= np.abs(ref[15 * m + 16 :]).sum() + 1e-15, f"t={t}"
+
+    def test_one_quadrature_does_not_warn(self):
+        # b of icosphere(6) at the widest study scale, where the coefficient
+        # tail falls slowest
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            coeffs = kernel_coefficients(
+                WaveletKernel(t=0.011), PolynomialFamily.chebyshev(b=26733.0), 120
+            )
+        assert coeffs.coeffs.shape == (121,)
 
 
 @pytest.fixture(scope="module")
@@ -190,7 +232,7 @@ class TestStackCoefficientCache:
 
     def test_repeat_computes_no_coefficients(self, wav_op, wav_field, counted):
         first = wavelet_stack(wav_op, wav_field, WaveletKernel(), DEFAULT_SCALES, m=120)
-        assert counted() >= 2 * len(DEFAULT_SCALES)
+        assert counted() == len(DEFAULT_SCALES)
         before = counted()
         again = wavelet_stack(wav_op, wav_field, WaveletKernel(), DEFAULT_SCALES, m=120)
         assert counted() == before
@@ -220,7 +262,7 @@ class TestStackCoefficientCache:
     def test_repeated_transform_computes_no_coefficients(self, wav_op, wav_field, counted):
         first = wavelet_transform(wav_op, wav_field, WaveletKernel(t=0.004), m=120)
         before = counted()
-        assert before >= 2
+        assert before == 1
         again = wavelet_transform(wav_op, wav_field, WaveletKernel(t=0.004), m=120)
         assert counted() == before
         np.testing.assert_array_equal(again, first)
