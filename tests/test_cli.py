@@ -249,13 +249,19 @@ class TestValidateSphereCommand:
         assert warned[0].endswith("closes a cluster is 16")
         assert warned[1].startswith("validate-sphere: --eigs 60 splits")
 
-    def test_eigen_count_of_every_vertex_solves_no_extra_pair(self, tmp_path, capsys):
+    def test_eigen_count_of_every_vertex_solves_no_extra_pair(self, tmp_path, capsys, monkeypatch):
         # icosphere(1) has 42 vertices: the full solve splits nothing
+        counts = []
+        real = heatflow.cli.eigen_reference
+        monkeypatch.setattr(
+            heatflow.cli, "eigen_reference", lambda op, k: counts.append(k) or real(op, k)
+        )
         assert main([
             "validate-sphere", "--subdiv", "1", "--sigma", "0.01", "--method", "eigen",
             "--eigs", "42", "--out-report", str(tmp_path / "r.json"),
             "--out-benchmark", str(tmp_path / "b.csv"),
         ]) == 0
+        assert counts == [42]
         assert "splits" not in capsys.readouterr().err
 
     def test_negative_truth_degree_exits_1(self, tmp_path, capsys):
