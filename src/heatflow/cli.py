@@ -31,6 +31,7 @@ from .fields import FieldStack, read_field_csv, read_stack_csv, write_field_csv,
 from .mesh import assemble_lb_operator, export_operator, load_mesh
 from .sphere import ground_truth_field, icosphere, two_cap_signal
 from .solvers import (
+    _DENSE_EIGEN_LIMIT,
     EigenSystem,
     eigen_reference,
     eigen_smooth,
@@ -176,6 +177,12 @@ def _cmd_validate_sphere(args):
     if "eigen" in methods and min(lists["eigs"]) < 1:
         raise ValueError(f"--eigs counts must be >= 1, got {min(lists['eigs'])}")
     mesh = icosphere(args.subdiv)
+    if "eigen" in methods and mesh.n_vertices > _DENSE_EIGEN_LIMIT:
+        raise ValueError(f"--method eigen needs the dense eigensolver, limited to {_DENSE_EIGEN_LIMIT} "
+                         f"vertices; --subdiv {args.subdiv} has {mesh.n_vertices}")
+    if "eigen" in methods and max(lists["eigs"]) > mesh.n_vertices:
+        raise ValueError(f"--eigs {max(lists['eigs'])} exceeds the {mesh.n_vertices} vertices "
+                         f"of --subdiv {args.subdiv}")
     op = assemble_lb_operator(mesh)
     signal = two_cap_signal(mesh, radius=args.cap_radius)
     truth_degree = args.truth_degree

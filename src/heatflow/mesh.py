@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 from scipy import sparse
 
-from .fields import data_line, read_rows, write_field_csv
+from .fields import _encode, data_line, read_rows, write_field_csv
 
 # An angle counts as obtuse only when its cosine is clearly negative; the
 # tolerance band around 90 degrees is treated as nonobtuse.
@@ -369,5 +369,5 @@ def save_off(mesh, path):
     """Write a mesh as OFF (17 significant digits, order preserved)."""
     with open(path, "w") as fh:
         fh.write(f"OFF\n{mesh.n_vertices} {mesh.n_faces} 0\n")
-        fh.write("%.16e %.16e %.16e\n" * mesh.n_vertices % tuple(mesh.vertices.ravel().tolist()))
+        fh.writelines(_encode(mesh.vertices, " "))
         fh.write("3 %d %d %d\n" * mesh.n_faces % tuple(mesh.faces.ravel().tolist()))

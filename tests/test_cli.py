@@ -290,6 +290,25 @@ class TestValidateSphereCommand:
         assert message in capsys.readouterr().err
         assert fits == []
 
+    @pytest.mark.parametrize("subdiv, eigs, message", [
+        ("5", "16", "--method eigen needs the dense eigensolver, limited to 5000 vertices; "
+                    "--subdiv 5 has 10242"),
+        ("2", "20,500", "--eigs 500 exceeds the 162 vertices of --subdiv 2"),
+    ])
+    def test_eigen_run_the_mesh_cannot_take_fails_before_the_truth_fit(
+        self, tmp_path, capsys, monkeypatch, subdiv, eigs, message
+    ):
+        def fit(*args):
+            raise AssertionError("the truth fit ran")
+
+        monkeypatch.setattr(heatflow.cli, "ground_truth_field", fit)
+        assert main([
+            "validate-sphere", "--subdiv", subdiv, "--sigma", "0.01", "--method", "eigen",
+            "--eigs", eigs, "--out-report", str(tmp_path / "r.json"),
+            "--out-benchmark", str(tmp_path / "b.csv"),
+        ]) == 1
+        assert message in capsys.readouterr().err
+
     def test_nan_cap_radius_exits_1(self, tmp_path, capsys):
         assert main([
             "validate-sphere", "--subdiv", "2", "--sigma", "0.01", "--method", "chebyshev",
@@ -529,9 +548,11 @@ def test_cold_import_leaves_out_lazy_scipy_modules():
     # and scipy.fft inside the function, so commands that never call them
     # (stats) do not pay for them at start-up
     src = Path(__file__).resolve().parent.parent / "src"
+    # the field writers build their power-of-ten tables from Python ints, so
+    # fractions and decimal stay out too
     code = (
-        "import sys; import heatflow.cli; "
-        "print(sorted(m for m in ('scipy.sparse.linalg', 'scipy.fft') if m in sys.modules))"
+        "import sys; import heatflow.cli; print(sorted(m for m in "
+        "('scipy.sparse.linalg', 'scipy.fft', 'fractions', 'decimal') if m in sys.modules))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from heatflow.fields import (
     FieldStack,
+    _encode,
     read_field_csv,
     read_stack_csv,
     write_field_csv,
@@ -49,6 +53,64 @@ def test_stack_csv_bytes_match_per_value_format(tmp_path):
     write_stack_csv(p, FieldStack(values, ["a", "b"], "scales"))
     rows = "".join(",".join("{:.16e}".format(v) for v in row) + "\n" for row in values)
     assert p.read_text() == "a,b\n" + rows
+
+
+def _expected(values, sep=","):
+    """The rows of an (N,) or (N, S) array by per-value format, the reference for _encode."""
+    rows = values.reshape(len(values), -1).tolist()
+    return "".join(sep.join(format(v, ".16e") for v in row) + "\n" for row in rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(stack=arrays(np.float64, st.tuples(st.integers(1, 30), st.sampled_from([1, 3, 10])),
+                    elements=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)))
+def test_encoder_matches_per_value_format(stack):
+    assert "".join(_encode(stack.ravel())) == _expected(stack.ravel())
+    assert "".join(_encode(stack)) == _expected(stack)
+    assert "".join(_encode(stack, " ")) == _expected(stack, " ")
+
+
+def test_encoder_matches_per_value_format_on_random_bit_patterns():
+    bits = np.random.default_rng(18).integers(0, 2**64, 10**6, dtype=np.uint64)
+    values = bits.view(np.float64)
+    assert "".join(_encode(values)) == _expected(values)
+    # 10**4 rows of 10 cross the encoder's blocks of rows
+    stack = values[:10**5].reshape(-1, 10)
+    assert "".join(_encode(stack)) == _expected(stack)
+
+
+def test_encoder_writes_exact_ties_half_even():
+    # x = M/4 (exact) and M/20 for odd M in [4e15, 9e15): the 17-digit
+    # scaled value ends in exactly .5 or sits next to it
+    odd = np.random.default_rng(4).integers(2 * 10**15, 45 * 10**14, 10**5) * 2 + 1
+    odd = np.append(odd, [4 * 10**15 + 1, 9 * 10**15 - 1])
+    # and N / 2**(17 - e) for odd N, a tie in decade e, where 10**(16 - e) is
+    # not a double for e < -6
+    dyadic = np.array([n / 2.0 ** (17 - e) for e in range(-12, 16) for n in range(1, 2000, 2)])
+    for values in (odd / 4, odd / 20, dyadic):
+        assert "".join(_encode(values)) == _expected(values)
+    assert "".join(_encode(np.array([1000000000000000.25]))) == "1.0000000000000002e+15\n"
+
+
+def test_encoder_at_powers_of_ten_their_neighbours_and_the_extremes():
+    tens = np.array([float(f"1e{k}") for k in range(-307, 309)])
+    extremes = [0.0, -0.0, 5e-324, -5e-324, 1.797e308, -1.797e308]
+    values = np.concatenate([tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf), extremes])
+    assert "".join(_encode(values)) == _expected(values)
+
+
+def test_encoder_keeps_row_order_across_per_value_fallbacks():
+    # non-finite, |x| outside [1e-280, 1e280] and exact ties take the per-value
+    # path; each sits between values the vectorized path writes
+    fallback = [math.nan, 1e-300, 1000000000000000.25, -math.inf, 5e-324, -1.797e308]
+    vectorized = [1.5, -0.0, 2.0 / 3.0, -1e-5, 123456.789, 1e280]
+    values = np.array([v for pair in zip(vectorized, fallback) for v in pair])
+    assert "".join(_encode(values)) == _expected(values)
+    assert "".join(_encode(values.reshape(4, 3))) == _expected(values.reshape(4, 3))
+
+
+def test_encoder_writes_a_zero_column_stack_as_empty_rows():
+    assert "".join(_encode(np.zeros((3, 0)))) == "\n\n\n"
 
 
 def test_stack_validation():
