@@ -1,17 +1,17 @@
 """Command-line entry point.
 
 Commands: smooth, wavelet, validate-sphere, benchmark, stats
-{ttest|hotelling|corr}, lbo. `stats corr` always pairs the two groups'
-subjects by file stem (column label of a stacked CSV); `validate-sphere`
-runs one dense eigensolve at the largest `--eigs` count and slices it for the
-others. Every run writes a resolved-config JSON next to its outputs so
-results are reproducible; wall-clock timings go to a separate timing JSON so
-the data files stay byte-identical across runs. Exit codes: 0 success, 1
-runtime or domain error, 2 usage error.
+{ttest|hotelling|corr}, lbo. `smooth --steps k` is the heat stack at sigma,
+2 sigma, ..., k sigma from one recurrence. `stats corr` pairs the two groups'
+subjects by file stem (column label of a stacked CSV); `validate-sphere` runs
+one dense eigensolve at the largest `--eigs` count. Flags are checked before
+any input is read. Every run writes a resolved-config JSON next to its
+outputs; wall-clock timings go to a separate timing JSON so the data files
+stay byte-identical across runs. Exit codes: 0 success, 1 runtime or domain
+error, 2 usage error.
 """
 
 import argparse
-import json
 import math
 import sys
 import time
@@ -21,13 +21,16 @@ import numpy as np
 
 from .expansion import (
     PolynomialFamily,
+    _coefficient_stack,
     apply_expansion,
     estimate_lambda_max,
     heat_coefficients,
     resolve_family,
     spectral_bound,
 )
-from .fields import FieldStack, read_field_csv, read_stack_csv, write_field_csv, write_stack_csv
+from .fields import (
+    FieldStack, read_field_csv, read_stack_csv, write_field_csv, write_json, write_stack_csv,
+)
 from .mesh import assemble_lb_operator, export_operator, load_mesh
 from .sphere import ground_truth_field, icosphere, two_cap_signal
 from .solvers import (
@@ -50,18 +53,26 @@ _SPHERE_METHOD_FLAGS = {
 }
 
 
-def _write_json(path, payload):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _require(ok, flag, rule, value):
+    """Refuse a flag's value by name, before any input is read."""
+    if not ok:
+        raise ValueError(f"--{flag} must be {rule}, got {value}")
+
+
+def _list_arg(args, flag, kind):
+    """The comma list given to --flag as kind values."""
+    try:
+        return [kind(tok) for tok in getattr(args, flag).split(",") if tok]
+    except ValueError:
+        raise ValueError(f"--{flag} must be a comma list of {kind.__name__} values, "
+                         f"got {getattr(args, flag)!r}") from None
 
 
 def _echo_config(args, out_path, resolved=None):
-    flags = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
-    payload = {"command": args.command, "flags": flags}
+    payload = {"command": args.command, "flags": {k: v for k, v in vars(args).items() if k != "func"}}
     if resolved is not None:
         payload["resolved"] = resolved
-    _write_json(str(out_path) + ".config.json", payload)
+    write_json(str(out_path) + ".config.json", payload)
 
 
 def _read_signal(path, mesh):
@@ -78,65 +89,53 @@ def _family_from_args(args, kind):
 
 
 def _cmd_smooth(args):
-    if not (math.isfinite(args.sigma) and args.sigma >= 0):
-        raise ValueError(f"--sigma must be a finite number >= 0, got {args.sigma}")
-    if args.steps < 1:
-        raise ValueError(f"--steps must be >= 1, got {args.steps}")
-    if args.degree is not None and args.degree < 0:
-        raise ValueError(f"--degree must be >= 0, got {args.degree}")
+    _require(math.isfinite(args.sigma) and args.sigma >= 0, "sigma", "a finite number >= 0", args.sigma)
+    _require(args.steps >= 1, "steps", ">= 1", args.steps)
+    _require(args.degree is None or args.degree >= 0, "degree", ">= 0", args.degree)
     family = _family_from_args(args, args.family)
     t0 = time.perf_counter()
     mesh = load_mesh(args.mesh)
     op = assemble_lb_operator(mesh)
-    family = resolve_family(op, family, args.sigma)
+    family = resolve_family(op, family, args.steps * args.sigma)  # the largest column warns
     t_assembly = time.perf_counter() - t0
 
     f = _read_signal(args.signal, mesh)
+    sigmas = tuple((i + 1) * args.sigma for i in range(args.steps))
 
+    # e^{-k sigma Delta} f = (e^{-sigma Delta})^k f for k = 1..steps: one recurrence, a column each
     t1 = time.perf_counter()
-    coeffs = heat_coefficients(family, args.sigma, args.degree) if args.sigma > 0 else None
+    coeffs = _coefficient_stack(heat_coefficients, family, sigmas, args.degree) if args.sigma else None
     t_coeffs = time.perf_counter() - t1
     degree = coeffs.degree if coeffs is not None else 0
 
     t2 = time.perf_counter()
-    if args.sigma == 0:
-        fields = [f.copy() for _ in range(args.steps)]
-    else:
-        fields = []
-        cur = f
-        for _ in range(args.steps):
-            cur = apply_expansion(op, coeffs, cur)
-            fields.append(cur)
+    # sigma 0 copies f: a default 1000-degree Hermite run can diverge on zero coefficients
+    values = np.repeat(f[:, None], args.steps, 1) if coeffs is None else apply_expansion(op, coeffs, f)
     t_recur = time.perf_counter() - t2
 
     if args.steps == 1:
-        write_field_csv(args.out, fields[0])
+        write_field_csv(args.out, values[:, 0])
     else:
-        sigmas = [repr((i + 1) * args.sigma) for i in range(args.steps)]
-        write_stack_csv(args.out, FieldStack(np.column_stack(fields), sigmas, "scales"))
+        write_stack_csv(args.out, FieldStack(values, [repr(s) for s in sigmas], "scales"))
     _echo_config(args, args.out, {"b": family.b, "degree": degree})
-    timing = {
+    write_json(str(args.out) + ".timing.json", {
         "assembly_seconds": t_assembly,
         "coefficients_seconds": t_coeffs,
         "recurrence_seconds": t_recur,
         "total_seconds": time.perf_counter() - t0,
-    }
-    _write_json(str(args.out) + ".timing.json", timing)
-    print(
-        f"smooth: N={mesh.n_vertices} sigma={args.sigma} steps={args.steps} degree={degree} "
-        f"assembly={t_assembly:.3f}s coefficients={t_coeffs:.6f}s "
-        f"recurrence={t_recur:.3f}s"
-    )
+    })
+    print(f"smooth: N={mesh.n_vertices} sigma={args.sigma} steps={args.steps} degree={degree} "
+          f"assembly={t_assembly:.3f}s coefficients={t_coeffs:.6f}s recurrence={t_recur:.3f}s")
     return 0
 
 
 def _cmd_wavelet(args):
+    _require(args.degree >= 0, "degree", ">= 0", args.degree)
+    scales = _list_arg(args, "scales", float)
     mesh = load_mesh(args.mesh)
     op = assemble_lb_operator(mesh)
     f = _read_signal(args.signal, mesh)
-    scales = [float(tok) for tok in args.scales.split(",") if tok]
-    stack = wavelet_stack(op, f, WaveletKernel(), scales, m=args.degree)
-    write_stack_csv(args.out, stack)
+    write_stack_csv(args.out, wavelet_stack(op, f, WaveletKernel(), scales, m=args.degree))
     _echo_config(args, args.out)
     print(f"wavelet: N={mesh.n_vertices} scales={len(scales)} degree={args.degree}")
     return 0
@@ -164,18 +163,17 @@ def _run_sphere_method(op, signal, truth, sigma, method, param, es, args):
 
 
 def _cmd_validate_sphere(args):
+    _require(math.isfinite(args.sigma) and args.sigma >= 0, "sigma", "a finite number >= 0", args.sigma)
     methods = [tok for tok in args.method.split(",") if tok]
-    lists = {
-        flag: [int(t) for t in getattr(args, flag).split(",") if t]
-        for flag in ("degree", "iters", "eigs")
-    }
+    lists = {flag: _list_arg(args, flag, int) for flag in ("degree", "iters", "eigs")}
     for method in methods:
         if method not in _SPHERE_METHOD_FLAGS:
             raise ValueError(f"unknown method {method!r}")
-        if not lists[_SPHERE_METHOD_FLAGS[method]]:
-            raise ValueError(f"method {method} needs --{_SPHERE_METHOD_FLAGS[method]}")
-    if "eigen" in methods and min(lists["eigs"]) < 1:
-        raise ValueError(f"--eigs counts must be >= 1, got {min(lists['eigs'])}")
+        flag = _SPHERE_METHOD_FLAGS[method]
+        if not lists[flag]:
+            raise ValueError(f"method {method} needs --{flag}")
+        low = 0 if flag == "degree" else 1
+        _require(min(lists[flag]) >= low, f"{flag} counts", f">= {low}", min(lists[flag]))
     mesh = icosphere(args.subdiv)
     if "eigen" in methods and mesh.n_vertices > _DENSE_EIGEN_LIMIT:
         raise ValueError(f"--method eigen needs the dense eigensolver, limited to {_DENSE_EIGEN_LIMIT} "
@@ -185,15 +183,10 @@ def _cmd_validate_sphere(args):
                          f"of --subdiv {args.subdiv}")
     op = assemble_lb_operator(mesh)
     signal = two_cap_signal(mesh, radius=args.cap_radius)
-    truth_degree = args.truth_degree
-    cap = int(math.isqrt(mesh.n_vertices // 2)) - 1
-    if truth_degree > cap:
-        truth_degree = cap
-        print(
-            f"validate-sphere: truth degree capped to {cap} for "
-            f"{mesh.n_vertices} vertices"
-        )
-    truth = ground_truth_field(mesh, signal, truth_degree, args.sigma)
+    cap = math.isqrt(mesh.n_vertices // 2) - 1
+    if args.truth_degree > cap:
+        print(f"validate-sphere: truth degree capped to {cap} for {mesh.n_vertices} vertices")
+    truth = ground_truth_field(mesh, signal, min(args.truth_degree, cap), args.sigma)
 
     es = None
     if "eigen" in methods:
@@ -216,11 +209,9 @@ def _cmd_validate_sphere(args):
             if method == "eigen":  # each eigen row is charged the one solve it slices
                 row["wall_seconds"] += es_seconds
             rows.append(row)
-            print(
-                f"validate-sphere: N={row['mesh_vertices']} method={method} "
-                f"param={param} mse={row['mse']:.3e} seconds={row['wall_seconds']:.3f}"
-            )
-    _write_json(args.out_report, rows)
+            print(f"validate-sphere: N={row['mesh_vertices']} method={method} "
+                  f"param={param} mse={row['mse']:.3e} seconds={row['wall_seconds']:.3f}")
+    write_json(args.out_report, rows)
     with open(args.out_benchmark, "w") as fh:
         fh.write("method,subdiv,N,sigma,param,mse,seconds\n")
         for row in rows:
@@ -287,6 +278,7 @@ def _read_subject_stacks(group_a, group_b):
 
 
 def _cmd_stats(args):
+    _require(args.fdr is None or 0 < args.fdr < 1, "fdr", "in (0, 1)", args.fdr)
     if args.test == "ttest":
         out = two_sample_t_map(
             _read_subject_fields(args.group_a),
@@ -299,9 +291,7 @@ def _cmd_stats(args):
     else:
         a, b = _read_subject_fields(args.group_a), _read_subject_fields(args.group_b)
         out = correlation_map(a, _pair_by_stem(a, b, args.group_a, args.group_b), fdr_q=args.fdr)
-    csv_path = args.out + ".csv"
-    json_path = args.out + ".json"
-    write_statmap(out, csv_path, json_path)
+    write_statmap(out, args.out + ".csv", args.out + ".json")
     _echo_config(args, args.out)
     print(f"stats {args.test}: N={out.statistic.size} significant={int(out.significant.sum())}")
     return 0
@@ -309,9 +299,7 @@ def _cmd_stats(args):
 
 def _cmd_lbo(args):
     mesh = load_mesh(args.mesh)
-    op = assemble_lb_operator(
-        mesh, area_scheme="barycentric" if args.barycentric else "mixed"
-    )
+    op = assemble_lb_operator(mesh, area_scheme="barycentric" if args.barycentric else "mixed")
     export_operator(op, args.out_c, args.out_a)
     lam, b = estimate_lambda_max(op), spectral_bound(op)
     _echo_config(args, args.out_c)

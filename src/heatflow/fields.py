@@ -3,14 +3,16 @@
 A field is a plain 1-d float array aligned to a mesh. A FieldStack holds one
 field per column, either one per subject or one per scale. All CSV values
 carry 17 significant digits so write/read round-trips are lossless. The
-bytes are those of "%.16e" per value; a vectorized exact encoder writes them,
-and hands the few values it cannot decide to "%.16e" one at a time.
-read_rows, the block reader behind the CSV readers, also reads the vertex
-and face blocks of OFF and PLY meshes.
+bytes are those of "%.16e" per value (or "%d" in the index and flag columns
+of StatMap rows and Matrix Market entries); one vectorized exact encoder
+writes them all, and hands the few values it cannot decide to "%" one at a
+time. write_json writes every JSON file. read_rows, the block reader behind
+the CSV readers, also reads the vertex and face blocks of OFF and PLY meshes.
 """
 
 import functools
 import itertools
+import json
 import warnings
 from dataclasses import dataclass
 
@@ -68,7 +70,8 @@ def _split(x):
 @functools.cache
 def _tables():
     """10**p as hi + lo (exact to about 2**-106) with hi's halves, for p from _P0,
-    and the 4 ASCII digits of each of 0000..9999 as one little-endian word."""
+    the 4 ASCII digits of each of 0000..9999 as one little-endian word, and the
+    byte masks that cut a "%.16e" slot to "%d": row e for e + 1 digits, row 17 for zero."""
     hi, lo = [], []
     for p in range(_P0, 298):
         num, den = 10 ** max(p, 0), 10 ** max(-p, 0)  # 10**p = num / den
@@ -77,19 +80,23 @@ def _tables():
         lo.append((num * d - n * den) / (d * den))
     hi = np.array(hi)
     digits = np.frombuffer("".join(f"{i:04d}" for i in range(10000)).encode(), "<u4")
-    return hi, np.array(lo), *_split(hi), digits
+    keep = [[1, 0, 1, 0] + [1] * e + [0] * (23 - e) + [1] for e in range(17)]
+    masks = (np.array(keep + [[0] + keep[0][1:]], np.uint8) * 255).view("<u4")
+    return hi, np.array(lo), *_split(hi), digits, masks
 
 
-def _encode(values, sep=","):
+def _encode(values, sep=",", ints=()):
     """Yield, block by block, the rows of the (N,) or (N, S) float array values:
-    the blocks join to exactly (sep.join([_FMT] * S) + "\n") * N % tuple(values.ravel())."""
+    the blocks join to exactly (sep.join(fmts) + "\n") * N % tuple(values.ravel()),
+    where fmts[j] is "%d" for the integer columns j in ints and _FMT for the rest."""
     values = np.asarray(values, dtype=float)
     cols = values.shape[1] if values.ndim == 2 else 1
     if cols == 0:
         yield "\n" * len(values)
         return
     ends = np.array([ord(sep)] * (cols - 1) + [ord("\n")], "<u4") << 24
-    hi, lo, hi_high, hi_low, digits = _tables()
+    fmts = ["%d" if j in ints else _FMT for j in range(cols)]
+    hi, lo, hi_high, hi_low, digits, int_masks = _tables()
     flat = values.ravel()
     size = cols * max(1, _BLOCK // cols)  # whole rows
     for x in (flat[i:i + size] for i in range(0, flat.size, size)):
@@ -121,8 +128,14 @@ def _encode(values, sep=","):
         w[:, 5] = ord("e") + (np.where(e < 0, ord("-"), ord("+")) << 8)
         w[:, 6] = (digits[np.abs(e)] >> 8) & np.where(np.abs(e) < 100, 0xFFFF00, 0xFFFFFF)
         w.reshape(-1, cols, 7)[:, :, 6] |= ends
+        if ints:  # integers below 1e17 carry all their digits: cut "." and what follows them
+            xi = x.reshape(-1, cols)[:, ints]
+            fast.reshape(-1, cols)[:, ints] &= (np.trunc(xi) == xi) & (np.abs(xi) < 1e17)
+            row = np.where(xi == 0, 17, np.clip(e.reshape(-1, cols)[:, ints], 0, 16))
+            w.reshape(-1, cols, 7)[:, ints] &= int_masks[row]
         slow = np.flatnonzero(~(fast | zero))
-        text = "".join([(_FMT % v).ljust(27, "\0") for v in x[slow].tolist()]).encode()
+        text = "".join([(fmts[i % cols] % v).ljust(27, "\0")
+                        for i, v in zip(slow.tolist(), x[slow].tolist())]).encode()
         w.view(np.uint8).reshape(-1, 28)[slow, :27] = np.frombuffer(text, np.uint8).reshape(-1, 27)
         yield w.tobytes().translate(None, b"\0").decode("ascii")
 
@@ -134,6 +147,13 @@ def write_field_csv(path, values):
         raise ValueError("field must be 1-d")
     with open(path, "w") as fh:
         fh.writelines(_encode(values))
+
+
+def write_json(path, payload):
+    """payload as indented JSON with sorted keys and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _data_lines(path, start, comments):

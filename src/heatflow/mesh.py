@@ -245,15 +245,13 @@ def export_operator(op, path_c, path_a):
     """Write C in Matrix Market coordinate (real symmetric) form and A as CSV.
 
     Entries carry 17 significant digits so a read-back reproduces the floats
-    exactly.
+    exactly; the field writers' encoder writes both files.
     """
     coo = sparse.tril(op.C).tocoo()
     with open(path_c, "w") as fh:
         fh.write("%%MatrixMarket matrix coordinate real symmetric\n")
         fh.write(f"{op.C.shape[0]} {op.C.shape[1]} {coo.nnz}\n")
-        # one float row per entry; "%d" prints the exactly held 1-based indices
-        rows = np.column_stack([coo.row + 1, coo.col + 1, coo.data])
-        fh.write("%d %d %.16e\n" * coo.nnz % tuple(rows.ravel().tolist()))
+        fh.writelines(_encode(np.column_stack([coo.row + 1, coo.col + 1, coo.data]), " ", ints=(0, 1)))
     write_field_csv(path_a, op.A)
 
 

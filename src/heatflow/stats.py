@@ -7,14 +7,13 @@ function (Student-t and F tails) or the normal tail of the Fisher
 transform.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import betainc, erfc
 
-from .fields import FieldStack
+from .fields import FieldStack, _encode, write_json
 
 _RIDGE_REL = 1e-10
 _SINGULAR_REL = 1e-12
@@ -202,13 +201,12 @@ def correlation_map(stack_a, stack_b, fdr_q=None):
 
 def write_statmap(statmap, csv_path, json_path):
     """StatMap CSV (vertex,stat,p,significant) plus the JSON sidecar."""
-    n = statmap.statistic.size
-    # one float row per vertex; "%d" prints the exactly held index and flag
-    rows = np.column_stack([np.arange(n), statmap.statistic, statmap.p_values, statmap.significant])
+    rows = np.column_stack([np.arange(statmap.statistic.size), statmap.statistic,
+                            statmap.p_values, statmap.significant])
     with open(csv_path, "w") as fh:
         fh.write("vertex,stat,p,significant\n")
-        fh.write("%d,%.16e,%.16e,%d\n" * n % tuple(rows.ravel().tolist()))
-    sidecar = {
+        fh.writelines(_encode(rows, ints=(0, 3)))
+    write_json(json_path, {
         "dof": list(statmap.dof),
         "fdr_q": statmap.fdr_q,
         "fdr_threshold": statmap.fdr_threshold,
@@ -216,7 +214,4 @@ def write_statmap(statmap, csv_path, json_path):
         "n_b": statmap.n_b,
         "min_rejected_stat": statmap.min_rejected_stat,
         "n_flagged": int(statmap.flagged.sum()),
-    }
-    with open(json_path, "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })

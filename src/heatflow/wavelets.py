@@ -81,8 +81,7 @@ def wavelet_transform(op, f, kernel, m=300):
     A one-scale wavelet_stack: b is the operator's spectral bound, and the
     coefficients (numeric; no closed form exists) are cached.
     """
-    coeffs = _coefficient_stack(_kernel_column, resolve_family(op), (kernel,), m)
-    return apply_expansion(op, coeffs, f)[:, 0]
+    return wavelet_stack(op, f, kernel, [kernel.t], m).values[:, 0]
 
 
 def wavelet_stack(op, f, kernel, scales, m=300):

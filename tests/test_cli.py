@@ -14,7 +14,7 @@ from heatflow.cli import main
 from heatflow.expansion import PolynomialFamily, heat_coefficients, spectral_bound
 from heatflow.fields import read_field_csv, read_stack_csv, write_field_csv, write_stack_csv, FieldStack
 from heatflow.mesh import assemble_lb_operator, save_off
-from heatflow.solvers import heat_smooth, iterative_smooth
+from heatflow.solvers import heat_smooth, heat_stack, iterative_smooth
 from heatflow.sphere import icosphere
 
 
@@ -63,7 +63,7 @@ class TestSmoothCommand:
         np.testing.assert_array_equal(read_field_csv(out), signal)
 
     def test_iterative_stack(self, sphere_fixture, tmp_path):
-        _, mesh, mesh_path, signal_path, _ = sphere_fixture
+        _, mesh, mesh_path, signal_path, signal = sphere_fixture
         out = tmp_path / "stack.csv"
         assert main([
             "smooth", "--mesh", str(mesh_path), "--signal", str(signal_path),
@@ -72,10 +72,29 @@ class TestSmoothCommand:
         stack = read_stack_csv(out)
         assert stack.values.shape == (mesh.n_vertices, 4)
         assert [float(x) for x in stack.labels] == [0.25, 0.5, 0.75, 1.0]
+        # column k is e^{-k sigma Delta} f from heat_stack's one recurrence and cache key;
         # the CSV round trip at 17 digits is lossless, so the columns match bitwise
         op = assemble_lb_operator(mesh)
-        want = iterative_smooth(op, read_field_csv(signal_path), 0.25, 4, m=120)
-        np.testing.assert_array_equal(stack.values, np.column_stack(want))
+        want = heat_stack(op, signal, [0.25, 0.5, 0.75, 1.0], m=120).values
+        np.testing.assert_array_equal(stack.values, want)
+        # and k repeated convolutions at sigma, the semigroup property, to rounding
+        steps = np.column_stack(iterative_smooth(op, signal, 0.25, 4, m=120))
+        assert np.abs(stack.values - steps).max() <= 1e-14 * np.abs(signal).max()
+
+    @pytest.mark.parametrize("flags, family", [
+        (["--family", "laguerre"], PolynomialFamily.laguerre()),
+        (["--family", "jacobi", "--alpha", "0.5"], PolynomialFamily.jacobi(0.5, 0.0)),
+    ])
+    def test_iterative_stack_of_other_families(self, sphere_fixture, tmp_path, flags, family):
+        _, mesh, mesh_path, signal_path, signal = sphere_fixture
+        out = tmp_path / "stack.csv"
+        assert main([
+            "smooth", "--mesh", str(mesh_path), "--signal", str(signal_path),
+            "--sigma", "0.01", "--steps", "3", *flags, "--out", str(out),
+        ]) == 0
+        steps = iterative_smooth(assemble_lb_operator(mesh), signal, 0.01, 3, family=family)
+        got = read_stack_csv(out).values
+        assert np.abs(got - np.column_stack(steps)).max() <= 1e-14 * np.abs(signal).max()
 
     def test_deterministic_outputs(self, sphere_fixture, tmp_path):
         _, _, mesh_path, signal_path, _ = sphere_fixture
@@ -214,6 +233,21 @@ class TestWaveletCommand:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--degree", "-1"], "--degree must be >= 0, got -1"),
+        (["--scales", "0.002,abc"], "--scales must be a comma list of float values, got '0.002,abc'"),
+    ])
+    def test_bad_flags_fail_before_the_mesh_load(self, sphere_fixture, tmp_path, capsys, flags,
+                                                 message):
+        # the mesh path does not exist, so a flag error proves the check ran first
+        _, _, _, signal_path, _ = sphere_fixture
+        assert main([
+            "wavelet", "--mesh", str(tmp_path / "none.off"), "--signal", str(signal_path),
+            "--scales", "0.002", *flags, "--out", str(tmp_path / "w.csv"),
+        ]) == 1
+        assert message in capsys.readouterr().err
+
+
 def _validate_eigen(tmp_path, eigs):
     """The benchmark CSV rows of a subdiv-2 eigen run, without the seconds column."""
     bench = tmp_path / f"bench_{eigs}.csv"
@@ -289,6 +323,29 @@ class TestValidateSphereCommand:
         ]) == 1
         assert message in capsys.readouterr().err
         assert fits == []
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--sigma", "-1"], "--sigma must be a finite number >= 0, got -1.0"),
+        (["--sigma", "inf"], "--sigma must be a finite number >= 0, got inf"),
+        (["--sigma", "nan"], "--sigma must be a finite number >= 0, got nan"),
+        (["--degree", "30,-1"], "--degree counts must be >= 0, got -1"),
+        (["--method", "fem", "--iters", "0"], "--iters counts must be >= 1, got 0"),
+        (["--degree", "1x"], "--degree must be a comma list of int values, got '1x'"),
+        (["--method", "eigen", "--eigs", "8,x"], "--eigs must be a comma list of int values, got '8,x'"),
+    ])
+    def test_bad_flag_fails_before_the_truth_fit(self, tmp_path, capsys, monkeypatch, flags, message):
+        def fit(*args):
+            raise AssertionError("the truth fit ran")
+
+        monkeypatch.setattr(heatflow.cli, "ground_truth_field", fit)
+        # argparse keeps the last value given of a repeated flag
+        assert main([
+            "validate-sphere", "--subdiv", "5", "--sigma", "0.01", "--method", "chebyshev",
+            "--degree", "30", *flags, "--out-report", str(tmp_path / "r.json"),
+            "--out-benchmark", str(tmp_path / "b.csv"),
+        ]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("subdiv, eigs, message", [
         ("5", "16", "--method eigen needs the dense eigensolver, limited to 5000 vertices; "
@@ -506,6 +563,25 @@ class TestStatsCommand:
             "--out", str(tmp_path / "out"),
         ]) == 0
         assert (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("test", ["ttest", "hotelling", "corr"])
+    @pytest.mark.parametrize("fdr", ["1.5", "nan", "0", "1", "-0.05"])
+    def test_fdr_outside_unit_interval_fails_before_any_csv_is_read(
+        self, tmp_path, capsys, monkeypatch, test, fdr
+    ):
+        def read(*args, **kwargs):
+            raise AssertionError("a CSV was read")
+
+        monkeypatch.setattr(heatflow.cli, "read_field_csv", read)
+        monkeypatch.setattr(heatflow.cli, "read_stack_csv", read)
+        ga, _ = _write_group(tmp_path, "ga", np.zeros((5, 3)))
+        gb, _ = _write_group(tmp_path, "gb", np.ones((5, 3)))
+        assert main([
+            "stats", test, "--group-a", str(ga), "--group-b", str(gb), "--fdr", fdr,
+            "--out", str(tmp_path / "x"),
+        ]) == 1
+        assert f"--fdr must be in (0, 1), got {float(fdr)}" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_mismatched_vertex_counts_exit_1(self, tmp_path):
         ga, _ = _write_group(tmp_path, "ga", np.zeros((5, 3)))

@@ -109,6 +109,40 @@ def test_encoder_keeps_row_order_across_per_value_fallbacks():
     assert "".join(_encode(values.reshape(4, 3))) == _expected(values.reshape(4, 3))
 
 
+# integers the "%d" columns must print: 0, -0.0 (as "0"), 10**k and 10**k - 1, where
+# log10 can land a decade high, and any integer below 1e15 in magnitude
+_INT_EDGES = [0.0, -0.0] + [float(10**k) for k in range(16)] + [float(10**k - 1) for k in range(1, 16)]
+_FLOAT_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, math.inf, -math.inf, math.nan]
+
+
+@st.composite
+def mixed_tables(draw):
+    """(table, ints): an (N, S) table whose columns in ints hold integers; N * S
+    reaches past one 8192-value block of the encoder."""
+    cols = draw(st.integers(1, 5))
+    ints = tuple(j for j in range(cols) if draw(st.booleans()))
+    n = draw(st.integers(1, 3000))
+    int_pool = draw(st.lists(st.sampled_from(_INT_EDGES) | st.integers(-10**15, 10**15).map(float),
+                             min_size=1, max_size=12))
+    float_pool = draw(st.lists(st.sampled_from(_FLOAT_EDGES) | st.floats(allow_subnormal=True),
+                               min_size=1, max_size=12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table = np.empty((n, cols))
+    for j in range(cols):
+        pool = int_pool + [-v for v in int_pool] if j in ints else float_pool
+        table[:, j] = np.array(pool)[rng.integers(0, len(pool), n)]
+    return table, ints
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=mixed_tables(), sep=st.sampled_from([",", " "]))
+def test_encoder_integer_columns_match_percent_d(case, sep):
+    table, ints = case
+    fmts = ["%d" if j in ints else "%.16e" for j in range(table.shape[1])]
+    want = (sep.join(fmts) + "\n") * len(table) % tuple(table.ravel().tolist())
+    assert "".join(_encode(table, sep, ints)) == want
+
+
 def test_encoder_writes_a_zero_column_stack_as_empty_rows():
     assert "".join(_encode(np.zeros((3, 0)))) == "\n\n\n"
 

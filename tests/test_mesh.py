@@ -388,14 +388,16 @@ class TestExportOperator:
 
     def test_bytes_match_per_row_format(self, tmp_path):
         C = sparse.csr_matrix(np.array([[1.797e308, -5e-324], [-5e-324, -0.0]]))
-        op = LBOperator(C, np.array([5e-324, 1.797e308]))
-        pc, pa = tmp_path / "C.mtx", tmp_path / "A.csv"
-        export_operator(op, pc, pa)
-        coo = sparse.tril(op.C).tocoo()
-        rows = "".join(f"{i + 1} {j + 1} {v:.16e}\n" for i, j, v in zip(coo.row, coo.col, coo.data))
-        header = f"%%MatrixMarket matrix coordinate real symmetric\n2 2 {coo.nnz}\n"
-        assert pc.read_text() == header + rows
-        assert pa.read_text() == "".join(f"{v:.16e}\n" for v in op.A)
+        # icosphere(4) has 10242 entries in its lower triangle: 30726 values, four encoder blocks
+        for op in (LBOperator(C, np.array([5e-324, 1.797e308])), assemble_lb_operator(icosphere(4))):
+            pc, pa = tmp_path / "C.mtx", tmp_path / "A.csv"
+            export_operator(op, pc, pa)
+            coo = sparse.tril(op.C).tocoo()
+            rows = "".join(f"{i + 1} {j + 1} {v:.16e}\n" for i, j, v in zip(coo.row, coo.col, coo.data))
+            n = op.n_vertices
+            header = f"%%MatrixMarket matrix coordinate real symmetric\n{n} {n} {coo.nnz}\n"
+            assert pc.read_text() == header + rows
+            assert pa.read_text() == "".join(f"{v:.16e}\n" for v in op.A)
 
     def test_io_error(self, tmp_path, equilateral_mesh):
         op = assemble_lb_operator(equilateral_mesh)
