@@ -19,31 +19,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .expansion import (
-    PolynomialFamily,
-    _coefficient_stack,
-    apply_expansion,
-    estimate_lambda_max,
-    heat_coefficients,
-    resolve_family,
-    spectral_bound,
-)
+from .expansion import PolynomialFamily, apply_expansion, estimate_lambda_max, spectral_bound
 from .fields import (
     FieldStack, read_field_csv, read_stack_csv, write_field_csv, write_json, write_stack_csv,
 )
 from .mesh import assemble_lb_operator, export_operator, load_mesh
 from .sphere import ground_truth_field, icosphere, two_cap_signal
 from .solvers import (
-    _DENSE_EIGEN_LIMIT,
-    EigenSystem,
-    eigen_reference,
-    eigen_smooth,
-    fem_euler_smooth,
-    heat_smooth,
-    mse,
+    _DENSE_EIGEN_LIMIT, EigenSystem, _euler_min_steps, _heat_expansion, eigen_reference,
+    eigen_smooth, fem_euler_smooth, heat_smooth, mse,
 )
 from .stats import correlation_map, hotelling_t2_map, two_sample_t_map, write_statmap
-from .wavelets import WaveletKernel, wavelet_stack
+from .wavelets import WaveletKernel, _scale_kernels, wavelet_stack
 
 # validate-sphere method -> the flag listing its fidelity parameters
 _SPHERE_METHOD_FLAGS = {
@@ -96,7 +83,6 @@ def _cmd_smooth(args):
     t0 = time.perf_counter()
     mesh = load_mesh(args.mesh)
     op = assemble_lb_operator(mesh)
-    family = resolve_family(op, family, args.steps * args.sigma)  # the largest column warns
     t_assembly = time.perf_counter() - t0
 
     f = _read_signal(args.signal, mesh)
@@ -104,27 +90,25 @@ def _cmd_smooth(args):
 
     # e^{-k sigma Delta} f = (e^{-sigma Delta})^k f for k = 1..steps: one recurrence, a column each
     t1 = time.perf_counter()
-    coeffs = _coefficient_stack(heat_coefficients, family, sigmas, args.degree) if args.sigma else None
+    family, coeffs = _heat_expansion(op, sigmas, family, args.degree)
     t_coeffs = time.perf_counter() - t1
-    degree = coeffs.degree if coeffs is not None else 0
 
     t2 = time.perf_counter()
-    # sigma 0 copies f: a default 1000-degree Hermite run can diverge on zero coefficients
-    values = np.repeat(f[:, None], args.steps, 1) if coeffs is None else apply_expansion(op, coeffs, f)
+    values = apply_expansion(op, coeffs, f)
     t_recur = time.perf_counter() - t2
 
     if args.steps == 1:
         write_field_csv(args.out, values[:, 0])
     else:
         write_stack_csv(args.out, FieldStack(values, [repr(s) for s in sigmas], "scales"))
-    _echo_config(args, args.out, {"b": family.b, "degree": degree})
+    _echo_config(args, args.out, {"b": family.b, "degree": coeffs.degree})
     write_json(str(args.out) + ".timing.json", {
         "assembly_seconds": t_assembly,
         "coefficients_seconds": t_coeffs,
         "recurrence_seconds": t_recur,
         "total_seconds": time.perf_counter() - t0,
     })
-    print(f"smooth: N={mesh.n_vertices} sigma={args.sigma} steps={args.steps} degree={degree} "
+    print(f"smooth: N={mesh.n_vertices} sigma={args.sigma} steps={args.steps} degree={coeffs.degree} "
           f"assembly={t_assembly:.3f}s coefficients={t_coeffs:.6f}s recurrence={t_recur:.3f}s")
     return 0
 
@@ -132,6 +116,7 @@ def _cmd_smooth(args):
 def _cmd_wavelet(args):
     _require(args.degree >= 0, "degree", ">= 0", args.degree)
     scales = _list_arg(args, "scales", float)
+    _scale_kernels(WaveletKernel(), scales)
     mesh = load_mesh(args.mesh)
     op = assemble_lb_operator(mesh)
     f = _read_signal(args.signal, mesh)
@@ -182,6 +167,10 @@ def _cmd_validate_sphere(args):
         raise ValueError(f"--eigs {max(lists['eigs'])} exceeds the {mesh.n_vertices} vertices "
                          f"of --subdiv {args.subdiv}")
     op = assemble_lb_operator(mesh)
+    if "fem" in methods:
+        low = _euler_min_steps(op, args.sigma)
+        _require(min(lists["iters"]) >= low, "iters counts",
+                 f">= {low} for a stable forward Euler step at --sigma {args.sigma}", min(lists["iters"]))
     signal = two_cap_signal(mesh, radius=args.cap_radius)
     cap = math.isqrt(mesh.n_vertices // 2) - 1
     if args.truth_degree > cap:

@@ -12,7 +12,6 @@ rest of P_{n+1}, and each block of degrees goes into the output with one GEMM.
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,9 +24,6 @@ from .special import kummer_1f1_log
 
 _KINDS = ("chebyshev", "jacobi", "hermite", "laguerre")
 _NAN_CHECK_EVERY = 64
-# Hermite/Laguerre terms grow before they decay once sigma*lambda_max is
-# large; warn past this product.
-_UNSCALED_CAUTION = 30.0
 # m=None in the scaled families: the smallest m whose weighted coefficient
 # tail is at most this fraction of the weighted sum, so that further degrees
 # change nothing in double precision.
@@ -432,28 +428,17 @@ def estimate_lambda_max(op):
     return op.lambda_max_hint
 
 
-def resolve_family(op, family=None, sigma=0.0):
+def resolve_family(op, family=None):
     """The family to expand in on op, with the domain scale b filled in.
 
     family defaults to Chebyshev. A scaled family without b gets the
-    spectral_bound of the operator (1 when the operator is zero). An unscaled
-    family warns when sigma*estimate_lambda_max is large enough for its terms
-    to grow before they decay.
+    spectral_bound of the operator (1 when the operator is zero).
     """
     if family is None:
         family = PolynomialFamily.chebyshev()
     if family.scaled and family.b is None:
         b = spectral_bound(op)
         family = family.with_b(b if b > 0 else 1.0)
-    if not family.scaled and sigma > 0:
-        product = estimate_lambda_max(op) * sigma
-        if product > _UNSCALED_CAUTION:
-            warnings.warn(
-                f"{family.kind} expansion with sigma*lambda_max = {product:.3g} "
-                "grows before it decays; expect slow or failing convergence",
-                RuntimeWarning,
-                stacklevel=3,
-            )
     return family
 
 
@@ -518,7 +503,7 @@ def _series(coeffs, X2, f):
                 if lo + k and not np.all(np.isfinite(P[k])):
                     raise RuntimeError(
                         f"expansion recurrence diverged at degree {lo + k} "
-                        f"(family={coeffs.family.kind}, sigma={coeffs.sigma})"
+                        f"(family={coeffs.family.kind}, degree={coeffs.degree})"
                     )
             out += P.T @ c[lo : lo + len(P)]
     if not np.all(np.isfinite(out)):

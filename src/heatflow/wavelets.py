@@ -84,6 +84,16 @@ def wavelet_transform(op, f, kernel, m=300):
     return wavelet_stack(op, f, kernel, [kernel.t], m).values[:, 0]
 
 
+def _scale_kernels(kernel, scales):
+    """The kernel at each scale t: scales must be nonempty and strictly increasing."""
+    kernels = tuple(kernel.with_scale(t) for t in scales)
+    if not kernels:
+        raise ValueError("scales must be nonempty")
+    if any(b.t <= a.t for a, b in zip(kernels, kernels[1:])):
+        raise ValueError("scales must be strictly increasing")
+    return kernels
+
+
 def wavelet_stack(op, f, kernel, scales, m=300):
     """One wavelet transform per scale t, columns in input order.
 
@@ -92,11 +102,6 @@ def wavelet_stack(op, f, kernel, scales, m=300):
     (kernel at each scale, family, m): repeated stacks compute no
     coefficients, and kernels that differ only in t share one entry.
     """
-    scales = [float(t) for t in scales]
-    if not scales:
-        raise ValueError("scales must be nonempty")
-    kernels = tuple(kernel.with_scale(t) for t in scales)
-    if any(b <= a for a, b in zip(scales, scales[1:])):
-        raise ValueError("scales must be strictly increasing")
+    kernels = _scale_kernels(kernel, scales)
     coeffs = _coefficient_stack(_kernel_column, resolve_family(op), kernels, m)
-    return FieldStack(apply_expansion(op, coeffs, f), [repr(t) for t in scales], "scales")
+    return FieldStack(apply_expansion(op, coeffs, f), [repr(k.t) for k in kernels], "scales")

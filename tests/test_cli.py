@@ -11,7 +11,7 @@ import pytest
 
 import heatflow.cli
 from heatflow.cli import main
-from heatflow.expansion import PolynomialFamily, heat_coefficients, spectral_bound
+from heatflow.expansion import PolynomialFamily, estimate_lambda_max, heat_coefficients, spectral_bound
 from heatflow.fields import read_field_csv, read_stack_csv, write_field_csv, write_stack_csv, FieldStack
 from heatflow.mesh import assemble_lb_operator, save_off
 from heatflow.solvers import heat_smooth, heat_stack, iterative_smooth
@@ -61,6 +61,29 @@ class TestSmoothCommand:
             "--sigma", "0", "--out", str(out),
         ]) == 0
         np.testing.assert_array_equal(read_field_csv(out), signal)
+
+    def test_sigma_zero_runs_no_recurrence(self, sphere_fixture, tmp_path, capsys):
+        # a degree-1000 Hermite recurrence diverges on this mesh; sigma 0 is the identity
+        _, _, mesh_path, signal_path, signal = sphere_fixture
+        out = tmp_path / "id.csv"
+        assert main([
+            "smooth", "--mesh", str(mesh_path), "--signal", str(signal_path), "--sigma", "0",
+            "--family", "hermite", "--degree", "1000", "--steps", "2", "--out", str(out),
+        ]) == 0
+        np.testing.assert_array_equal(read_stack_csv(out).values, np.column_stack([signal, signal]))
+        assert json.loads((tmp_path / "id.csv.config.json").read_text())["resolved"]["degree"] == 0
+        assert " degree=0 " in capsys.readouterr().out
+
+    def test_growth_warning_at_the_largest_column(self, sphere_fixture, tmp_path):
+        _, mesh, mesh_path, signal_path, _ = sphere_fixture
+        sigma = 15.0 / estimate_lambda_max(assemble_lb_operator(mesh))
+        argv = ["smooth", "--mesh", str(mesh_path), "--signal", str(signal_path),
+                "--sigma", repr(sigma), "--family", "laguerre", "--degree", "60"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--out", str(tmp_path / "one.csv")]) == 0
+        with pytest.warns(RuntimeWarning, match="sigma\\*lambda_max = 45"):
+            assert main(argv + ["--steps", "3", "--out", str(tmp_path / "three.csv")]) == 0
 
     def test_iterative_stack(self, sphere_fixture, tmp_path):
         _, mesh, mesh_path, signal_path, signal = sphere_fixture
@@ -236,6 +259,9 @@ class TestWaveletCommand:
     @pytest.mark.parametrize("flags, message", [
         (["--degree", "-1"], "--degree must be >= 0, got -1"),
         (["--scales", "0.002,abc"], "--scales must be a comma list of float values, got '0.002,abc'"),
+        (["--scales", "0.003,0.002"], "scales must be strictly increasing"),
+        (["--scales", "0.002,-1"], "t must be a finite number > 0, got -1.0"),
+        (["--scales", ","], "scales must be nonempty"),
     ])
     def test_bad_flags_fail_before_the_mesh_load(self, sphere_fixture, tmp_path, capsys, flags,
                                                  message):
@@ -345,6 +371,21 @@ class TestValidateSphereCommand:
             "--out-benchmark", str(tmp_path / "b.csv"),
         ]) == 1
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_unstable_iters_fail_before_the_truth_fit(self, tmp_path, capsys, monkeypatch):
+        def fit(*args):
+            raise AssertionError("the truth fit ran")
+
+        monkeypatch.setattr(heatflow.cli, "ground_truth_field", fit)
+        # lambda_max is about 311 at subdiv 3, so sigma 0.01 needs 2 forward Euler steps
+        assert main([
+            "validate-sphere", "--subdiv", "3", "--sigma", "0.01", "--method", "chebyshev,fem",
+            "--degree", "30", "--iters", "50,1", "--out-report", str(tmp_path / "r.json"),
+            "--out-benchmark", str(tmp_path / "b.csv"),
+        ]) == 1
+        assert ("--iters counts must be >= 2 for a stable forward Euler step at --sigma 0.01, got 1"
+                in capsys.readouterr().err)
         assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("subdiv, eigs, message", [

@@ -19,6 +19,7 @@ from heatflow.mesh import TriangleMesh, assemble_lb_operator
 from heatflow.sphere import icosphere
 from heatflow.solvers import (
     EigenSystem,
+    _euler_min_steps,
     eigen_reference,
     eigen_smooth,
     fem_euler_smooth,
@@ -86,6 +87,53 @@ class TestHeatSmooth:
         sigma = 40.0 / estimate_lambda_max(grid_op)
         with pytest.warns(RuntimeWarning, match="grows before"):
             heat_smooth(grid_op, grid_field, sigma, family=PolynomialFamily.laguerre(), m=60)
+        with pytest.warns(RuntimeWarning, match="grows before"):
+            iterative_smooth(grid_op, grid_field, sigma, 2, family=PolynomialFamily.laguerre(), m=60)
+
+    def test_repeat_computes_coefficients_once(self, grid_op, grid_field, monkeypatch):
+        _coefficient_stack.cache_clear()
+        calls = []
+        real = solvers.heat_coefficients
+        monkeypatch.setattr(
+            solvers, "heat_coefficients", lambda *a: calls.append(1) or real(*a)
+        )
+        first = heat_smooth(grid_op, grid_field, 0.01)
+        again = heat_smooth(grid_op, grid_field, 0.01)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(again, first)
+        _coefficient_stack.cache_clear()
+
+    @pytest.mark.parametrize("sigma", [0.001, 0.05])
+    def test_one_column_heat_stack(self, grid_op, grid_field, sigma):
+        want = heat_stack(grid_op, grid_field, [sigma], m=120).values[:, 0]
+        np.testing.assert_array_equal(heat_smooth(grid_op, grid_field, sigma, m=120), want)
+        np.testing.assert_array_equal(iterative_smooth(grid_op, grid_field, sigma, 1, m=120)[0], want)
+
+    @pytest.mark.parametrize("family", [
+        None, PolynomialFamily.jacobi(0.5, -0.3), PolynomialFamily.hermite(),
+        PolynomialFamily.laguerre(),
+    ], ids=lambda f: "chebyshev" if f is None else f.kind)
+    @pytest.mark.parametrize("m", [None, 1000])
+    def test_sigma_zero_runs_no_recurrence(self, family, m, monkeypatch):
+        # a degree-1000 Hermite recurrence diverges on this grid (degree 128 at
+        # sigma 1); at sigma 0 the expansion is the identity, so none runs
+        op = assemble_lb_operator(make_grid_mesh(8, 8, spacing=0.12))
+        f = np.random.default_rng(6).standard_normal(op.n_vertices)
+        calls = []
+        monkeypatch.setattr(solvers, "heat_coefficients", lambda *a: calls.append(a))
+        np.testing.assert_array_equal(heat_smooth(op, f, 0.0, family=family, m=m), f)
+        assert calls == []
+
+    def test_degree_checked_at_sigma_zero(self, grid_op, grid_field):
+        with pytest.raises(ValueError, match="degree must be >= 0, got -1"):
+            heat_smooth(grid_op, grid_field, 0.0, m=-1)
+
+    def test_divergence_names_degree(self):
+        op = assemble_lb_operator(make_grid_mesh(8, 8, spacing=0.12))
+        f = np.linspace(-1, 1, op.n_vertices)
+        with pytest.warns(RuntimeWarning, match="grows before"):
+            with pytest.raises(RuntimeError, match=r"diverged at degree 128 \(family=hermite, degree=400\)"):
+                heat_smooth(op, f, 1.0, family=PolynomialFamily.hermite(), m=400)
 
     def test_degree_30_truncation_ordering_at_sigma_1_5(self):
         # chebyshev converges fastest, hermite slowest; visible in the
@@ -273,6 +321,17 @@ class TestFemEuler:
         sigma = 2.5 / lam  # delta * lambda_max = 2.5 with one step
         with pytest.raises(ValueError, match="2.5"):
             fem_euler_smooth(grid_op, np.ones(grid_op.n_vertices), sigma, 1)
+
+    @pytest.mark.parametrize("product, low", [(0.5, 1), (2.5, 2), (3.9, 2), (7.9, 4)])
+    def test_smallest_stable_count(self, grid_op, product, low):
+        # delta * lambda_max < 2 needs n_iter > sigma * lambda_max / 2
+        sigma = product / estimate_lambda_max(grid_op)
+        assert _euler_min_steps(grid_op, sigma) == low
+        f = np.ones(grid_op.n_vertices)
+        fem_euler_smooth(grid_op, f, sigma, low)
+        if low > 1:
+            with pytest.raises(ValueError, match=f"the smallest stable n_iter is {low}"):
+                fem_euler_smooth(grid_op, f, sigma, low - 1)
 
     def test_converges_to_heat_solution(self, grid_op, grid_field):
         want = heat_smooth(grid_op, grid_field, 0.01, m=200)
