@@ -6,8 +6,12 @@ carry 17 significant digits so write/read round-trips are lossless. The
 bytes are those of "%.16e" per value (or "%d" in the index and flag columns
 of StatMap rows and Matrix Market entries); one vectorized exact encoder
 writes them all, and hands the few values it cannot decide to "%" one at a
-time. write_json writes every JSON file. read_rows, the block reader behind
-the CSV readers, also reads the vertex and face blocks of OFF and PLY meshes.
+time. Its mirror, one vectorized exact decoder, reads field and stack CSVs
+made only of such rows, bit for bit as np.loadtxt does, and hands values
+outside [1e-280, 1e280] or next to a rounding tie to float(); any other CSV
+goes to np.loadtxt. write_json writes every JSON file. read_rows, the block
+reader behind the CSV readers, also reads the vertex and face blocks of OFF
+and PLY meshes, always with np.loadtxt.
 """
 
 import functools
@@ -20,7 +24,10 @@ import numpy as np
 
 _FMT = "%.16e"
 _BLOCK = 8192  # values encoded at once: the work arrays stay in cache
-_P0 = -265  # 10**p is tabled for p in [_P0, 297], all 16 - floor(log10|x|) for |x| in [1e-280, 1e280]
+_READ_BLOCK = 1 << 16  # bytes decoded at once, then up to a newline: the work arrays stay small
+# 10**p is tabled for p in [_P0, 297]: the encoder's 16 - floor(log10|x|) for |x| in
+# [1e-280, 1e280], log10 a decade off either way, and the decoder's e - 16 for e in [-280, 280]
+_P0 = -296
 
 
 @dataclass(frozen=True)
@@ -140,6 +147,90 @@ def _encode(values, sep=",", ints=()):
         yield w.tobytes().translate(None, b"\0").decode("ascii")
 
 
+def _near_midpoint(y, res):
+    """Where y + res lies within 1e-6 ulp of the midpoint between the double y > 0 and
+    its neighbour on the side of res: half the gap to that neighbour, which just
+    below a power of two is a quarter of the gap above it."""
+    gap = np.abs(np.nextafter(y, np.copysign(np.inf, res)) - y)
+    return np.abs(np.abs(res) - gap / 2) <= 1e-6 * gap
+
+
+def _decode(fh, cols):
+    """The rest of the binary file fh, read block by block, as the (rows, cols) float
+    array that np.loadtxt reads from it with delimiter=",", bit for bit, when it holds
+    only _encode's "%.16e" rows of cols values each; None at the first block that
+    does not. Values outside [1e-280, 1e280], and values whose exact decimal lies
+    near a rounding midpoint, are read by float() one at a time."""
+    hi, lo, hi_high, hi_low = _tables()[:4]
+    # a value and its separator take 23 bytes or more; the result, allocated before
+    # the work arrays of the blocks, is cut to size in place at the end
+    here = fh.tell()
+    out = np.empty((fh.seek(0, 2) - here) // 23)
+    fh.seek(here)
+    n = 0
+    while block := fh.read(_READ_BLOCK):
+        block += fh.readline()
+        if not block.endswith(b"\n"):
+            return None
+        raw = block + bytes(8)  # 8 bytes past the last token for its word reads
+        buf = np.frombuffer(raw, np.uint8)
+        sep = np.flatnonzero((buf == 44) | (buf == 10))
+        nl = buf[sep] == 10
+        if sep.size % cols or nl.sum() != sep.size // cols or not nl[cols - 1::cols].all():
+            return None
+        start = np.concatenate(([0], sep[:-1] + 1))
+        neg = buf[start] == 45
+        s = start + neg
+        size = sep - s  # d.dddddddddddddddde+dd, one more byte for a three-digit exponent
+        if not np.all((size == 22) | (size == 23)):
+            return None
+        # a token is [-]d.<16 digits>e<+ or -><2 or 3 digits>: with the separators, the
+        # leading "-" and the ".", "e" and sign checked where they stand, a count of the
+        # digits shows that every other byte is one
+        digits = buf.size - 8 - 4 * sep.size - np.count_nonzero(neg)
+        if np.count_nonzero(buf - 48 < 10) != digits or not np.all(buf[s + 1] == 46):
+            return None
+        # bytes 2 to 25 of every token, in one stride-1 view: 16 digits in two words,
+        # then "e", the sign and the exponent's first two digits in one 4-byte word
+        tok = np.ndarray((buf.size - 23, 24), np.uint8, raw, strides=(1, 1))[s + 2]
+        mark = tok.view("<u4")[:, 4].astype(np.int64) & 0xFFFF
+        if not np.all((mark == 0x2B65) | (mark == 0x2D65)):
+            return None
+        # 8 digits per word: pairs 10 * d0 + d1, then 100 * pair0 + pair1, then the halves
+        v = (tok.view("<u8")[:, :2] & 0x0F0F0F0F0F0F0F0F) * 2561 >> 8
+        v = (v & 0x00FF00FF00FF00FF) * 6553601 >> 16
+        v = (v & 0x0000FFFF0000FFFF) * 42949672960001 >> 32
+        e = tok[:, 18:21].astype(np.int64) & 15
+        e = np.where(size == 23, e[:, 0] * 100 + e[:, 1] * 10 + e[:, 2], e[:, 0] * 10 + e[:, 1])
+        e = np.where(mark == 0x2D65, -e, e)
+        # q = d * 10**16 + top * 10**8 + bottom < 10**17 is qa + qb, both exact doubles
+        # (qa = (d * 10**8 + top) * 10**8), and a + r with a = fl(q)
+        qa = ((buf[s] - 48) * 1e8 + v[:, 0]) * 1e8
+        qb = v[:, 1].astype(float)
+        a = qa + qb
+        r = (qa - a) + qb
+        # a * 10**p = prod + corr as in _encode, p = e - 16, plus r * 10**p
+        k = np.clip(e, -280, 280) - 16 - _P0
+        prod = a * hi[k]
+        high, low = _split(a)
+        corr = ((high * hi_high[k] - prod) + high * hi_low[k] + low * hi_high[k]) + low * hi_low[k]
+        corr += a * lo[k] + r * hi[k]
+        y = prod + corr
+        # res is q * 10**p less y to within 1e-12 of an ulp (2e-16 for |e| < 240)
+        res = (prod - y) + corr
+        fast = ~_near_midpoint(y, res) & (np.abs(e) <= 280) & (y >= 1e-280) & (y <= 1e280)
+        fast |= a == 0  # zero is exact at any exponent
+        np.negative(y, out=y, where=neg)
+        slow = np.flatnonzero(~fast)
+        y[slow] = [float(raw[t:u]) for t, u in zip(start[slow].tolist(), sep[slow].tolist())]
+        out[n:n + y.size] = y
+        n += y.size
+    if not n:
+        return None
+    out.resize(n, refcheck=False)
+    return out.reshape(-1, cols)
+
+
 def write_field_csv(path, values):
     """One value per line, line i = vertex i."""
     values = np.asarray(values, dtype=float)
@@ -175,6 +266,9 @@ def read_rows(fh, path, kind, start, rows=None, *, skip=0, usecols=None, width=N
               dtype=float, delimiter=None, comments=None):
     """The next `rows` rows of the open file fh (None: all left) as one 2-d np.loadtxt array.
 
+    A comma-separated float block that runs to the end of the file is first read
+    by _decode, which gives the same array when its rows are the encoder's.
+
     usecols keeps some columns and ignores any further ones; width fixes the
     column count; without either each line is one value. Only when loadtxt
     fails, finds fewer rows than declared or none at all, or reads a NaN or
@@ -182,13 +276,21 @@ def read_rows(fh, path, kind, start, rows=None, *, skip=0, usecols=None, width=N
     `skip` data rows, to name the bad line.
     """
     error = None
+    whole = rows is None and delimiter == "," and dtype is float
     try:
-        with warnings.catch_warnings():
-            # numpy >= 1.23 does not count blank or comment lines towards
-            # max_rows, and warns that it does not
-            warnings.simplefilter("ignore", UserWarning)
-            arr = np.loadtxt(fh, dtype=dtype, comments=comments, delimiter=delimiter,
-                             usecols=usecols, max_rows=rows, ndmin=2)
+        arr = None
+        if whole:  # from a binary handle of its own, so that fh stays where it is
+            with open(path, "rb") as data:
+                # text mode also ends a line at a lone "\r": a header with one goes to loadtxt
+                head = b"".join(itertools.islice(data, start))
+                arr = None if b"\r" in head else _decode(data, width or 1)
+        if arr is None:
+            with warnings.catch_warnings():
+                # numpy >= 1.23 does not count blank or comment lines towards
+                # max_rows, and warns that it does not
+                warnings.simplefilter("ignore", UserWarning)
+                arr = np.loadtxt(fh, dtype=dtype, comments=comments, delimiter=delimiter,
+                                 usecols=usecols, max_rows=rows, ndmin=2)
     except ValueError as exc:
         error = exc
     else:

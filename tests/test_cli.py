@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import heatflow.cli
+import heatflow.fields
 from heatflow.cli import main
 from heatflow.expansion import PolynomialFamily, estimate_lambda_max, heat_coefficients, spectral_bound
 from heatflow.fields import read_field_csv, read_stack_csv, write_field_csv, write_stack_csv, FieldStack
@@ -529,6 +530,36 @@ class TestStatsCommand:
                      "--out", str(tmp_path / "h")]) == 1
         err = capsys.readouterr().err
         assert f"{odd}: stack shape (5, 1) differs from (6, 1) in {ga / 'subj00.csv'}" in err
+
+    def test_outputs_do_not_depend_on_which_reader_read_the_csvs(self, tmp_path, monkeypatch):
+        # the encoder's CSVs go through fields._decode; with it refused, np.loadtxt
+        # reads them, and every StatMap and sidecar byte must be the same
+        rng = np.random.default_rng(24)
+        for name, shift in (("a", 0.8), ("b", 0.0)):
+            (tmp_path / name).mkdir()
+            (tmp_path / (name + "_stacks")).mkdir()
+            for i in range(6):
+                values = rng.standard_normal((40, 3)) * 10.0 ** rng.integers(-3, 4, 3) + shift
+                write_stack_csv(tmp_path / (name + "_stacks") / f"subj{i:02d}.csv",
+                                FieldStack(values, ["0.001", "0.002", "0.004"], "scales"))
+                write_field_csv(tmp_path / name / f"subj{i:02d}.csv", values[:, 0])
+
+        def run(tag):
+            for test, suffix in (("hotelling", "_stacks"), ("ttest", "")):
+                assert main(["stats", test, "--group-a", str(tmp_path / ("a" + suffix)),
+                             "--group-b", str(tmp_path / ("b" + suffix)), "--fdr", "0.05",
+                             "--out", str(tmp_path / f"{tag}-{test}")]) == 0
+            return {ext: (tmp_path / f"{tag}-{test}.{ext}").read_bytes()
+                    for test in ("hotelling", "ttest") for ext in ("csv", "json")}
+
+        decode = heatflow.fields._decode
+        decoded = []
+        monkeypatch.setattr(heatflow.fields, "_decode",
+                            lambda fh, cols: decoded.append(decode(fh, cols)) or decoded[-1])
+        fast = run("decoded")
+        assert len(decoded) == 24 and all(arr is not None for arr in decoded)
+        monkeypatch.setattr(heatflow.fields, "_decode", lambda fh, cols: None)
+        assert run("loadtxt") == fast
 
     def test_corr_paired(self, tmp_path):
         rng = np.random.default_rng(2)

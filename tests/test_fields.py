@@ -1,4 +1,6 @@
+import io
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -6,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import heatflow.fields
 from heatflow.fields import (
     FieldStack,
+    _decode,
     _encode,
     read_field_csv,
     read_stack_csv,
@@ -216,4 +220,143 @@ def test_empty_field_csv_rejected(tmp_path):
     p = tmp_path / "empty.csv"
     p.write_text("\n\n")
     with pytest.raises(ValueError, match=r"empty\.csv: field CSV has no data rows$"):
+        read_field_csv(p)
+
+
+def _assert_reads_as_loadtxt(text, cols=1):
+    """_decode takes text as the encoder's rows and reads the bits np.loadtxt reads."""
+    got = _decode(io.BytesIO(text.encode()), cols)
+    assert got is not None
+    want = np.loadtxt(io.StringIO(text), delimiter=",", ndmin=2)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(stack=arrays(np.float64, st.tuples(st.integers(1, 30), st.sampled_from([1, 3, 10])),
+                    elements=st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)))
+def test_decoder_reads_what_loadtxt_reads(stack):
+    _assert_reads_as_loadtxt("".join(_encode(stack)), stack.shape[1])
+    _assert_reads_as_loadtxt("".join(_encode(stack.ravel())))
+
+
+def test_decoder_reads_what_loadtxt_reads_on_random_bit_patterns():
+    bits = np.random.default_rng(18).integers(0, 2**64, 10**6, dtype=np.uint64)
+    values = bits.view(np.float64)
+    values = values[np.isfinite(values)]
+    # about 24 MB of rows: many read blocks, each cut at a newline
+    _assert_reads_as_loadtxt("".join(_encode(values)))
+    _assert_reads_as_loadtxt("".join(_encode(values[:10**5].reshape(-1, 10))), 10)
+
+
+def _tokens(decimals):
+    """The "%.16e" rows of Decimal values: 17 significant digits, 2-3 exponent digits."""
+    text = [format(d, ".16e").split("e") for d in decimals]
+    return "".join(f"{m}e{int(x):+03d}\n" for m, x in text)
+
+
+def test_decoder_rounds_ties_and_midpoints_below_powers_of_two(monkeypatch):
+    # exact ties round half even: to 2**53 and up to 2**54 from the midpoint below
+    # it, a quarter of the gap above 2**54 away; the guard hands both to float()
+    text = "9.0071992547409930e+15\n9.0071992547409935e+15\n1.8014398509481983e+16\n"
+    near, flagged = heatflow.fields._near_midpoint, []
+    monkeypatch.setattr(heatflow.fields, "_near_midpoint",
+                        lambda y, res: flagged.append(near(y, res)) or flagged[-1])
+    _assert_reads_as_loadtxt(text)
+    assert flagged[0].tolist() == [True, False, True]
+    assert _decode(io.BytesIO(text.encode()), 1).ravel().tolist() == [2.0**53, 2.0**53 + 2, 2.0**54]
+    # the 17-digit decimals nearest the midpoint under 2**k, on either side of it
+    decimals = []
+    for k in range(-900, 1000, 7):
+        below = Decimal(2) ** k * (1 - Decimal(2) ** -54)
+        text = format(below, ".16e")
+        step = Decimal(1).scaleb(int(text.split("e")[1]) - 16)
+        decimals += [Decimal(text) - step, Decimal(text), Decimal(text) + step]
+    _assert_reads_as_loadtxt(_tokens(decimals))
+    # the encoder's ties, M / 4 and M / 20 for odd M, and dyadic ties in each decade
+    odd = np.random.default_rng(4).integers(2 * 10**15, 45 * 10**14, 10**4) * 2 + 1
+    dyadic = np.array([n / 2.0 ** (17 - e) for e in range(-12, 16) for n in range(1, 2000, 2)])
+    for values in (odd / 4, odd / 20, dyadic):
+        _assert_reads_as_loadtxt("".join(_encode(values)))
+
+
+def test_decoder_at_powers_of_ten_their_neighbours_and_the_extremes():
+    tens = np.array([float(f"1e{k}") for k in range(-307, 309)])
+    extremes = [0.0, -0.0, 5e-324, -5e-324, 1.797e308, -1.797e308]
+    values = np.concatenate([tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf), extremes])
+    _assert_reads_as_loadtxt("".join(_encode(values)))
+
+
+def test_decoder_on_random_17_digit_decimals():
+    rng = np.random.default_rng(24)
+    n = 10**5
+    digits = rng.integers(10**16, 10**17, n)
+    exps, signs = rng.integers(-280, 281, n), rng.choice(["", "-"], n)
+    _assert_reads_as_loadtxt("".join(f"{s}{d // 10**16}.{d % 10**16:016d}e{e:+03d}\n"
+                                     for s, d, e in zip(signs, digits.tolist(), exps.tolist())))
+
+
+@pytest.mark.parametrize("token", [
+    "4.9406564584124654e-324", "2.2250738585072014e-308", "1.7976931348623157e+308",
+    "-0.0000000000000000e+00", "0.1234567890123456e+00", "1.0000000000000000e-280",
+    "9.9999999999999999e+279", "-1.0000000000000000e-281", "1.0000000000000000e+280",
+])
+def test_encoder_shaped_extremes_read_as_float(tmp_path, token):
+    p = tmp_path / "f.csv"
+    p.write_text(f"1.5000000000000000e+00\n{token}\n")
+    with open(p, "rb") as fh:
+        assert _decode(fh, 1) is not None
+    got = read_field_csv(p)
+    assert got.view(np.int64).tolist() == np.array([1.5, float(token)]).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("token", ["1.0000000000000000e+309", "-9.9999999999999999e+308"])
+def test_encoder_shaped_overflow_names_line(tmp_path, token):
+    f = tmp_path / "f.csv"
+    f.write_text(f"1.5000000000000000e+00\n{token}\n")
+    with pytest.raises(ValueError, match=r"f\.csv:2: non-finite value in field CSV$"):
+        read_field_csv(f)
+    s = tmp_path / "s.csv"
+    s.write_text(f"a,b\n1.5000000000000000e+00,2.5000000000000000e+00\n3.5000000000000000e+00,{token}\n")
+    with pytest.raises(ValueError, match=r"s\.csv:3: non-finite value in stack CSV$"):
+        read_stack_csv(s)
+
+
+@pytest.mark.parametrize("text, want", [
+    ("1.0\r\n2.0\r\n", [1.0, 2.0]),
+    ("1.0\n2.0", [1.0, 2.0]),
+    ("1.0\n\n\n2.0\n", [1.0, 2.0]),
+    (" 1.0 \n 2.0\n", [1.0, 2.0]),
+    ("+1.0\n2.0000000000000000E+00\n", [1.0, 2.0]),
+    ("0.5\n", [0.5]),
+    ("1.0000000000000000e+00\n2.0\n3.0000000000000000e+00", [1.0, 2.0, 3.0]),
+])
+def test_hand_written_field_csv_reads_as_before(tmp_path, text, want):
+    p = tmp_path / "f.csv"
+    p.write_bytes(text.encode())
+    assert read_field_csv(p).tolist() == want
+
+
+@pytest.mark.parametrize("text, want", [
+    ("a,b\r\n1.0 ,2.0\r\n", [[1.0, 2.0]]),
+    # a lone "\r" ends the header line in text mode, not in binary
+    ("a,b\r1.0000000000000000e+00,2.0000000000000000e+00\n3.0000000000000000e+00,4.0000000000000000e+00\n",
+     [[1.0, 2.0], [3.0, 4.0]]),
+    ("a,b\n1.0000000000000000e+00,2.0000000000000000e+00\n3.0,-4.0\n"
+     "5.0000000000000000e+00,6.0000000000000000e+00\n", [[1.0, 2.0], [3.0, -4.0], [5.0, 6.0]]),
+])
+def test_hand_written_stack_csv_reads_as_before(tmp_path, text, want):
+    p = tmp_path / "s.csv"
+    p.write_bytes(text.encode())
+    assert read_stack_csv(p).values.tolist() == want
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"1e309\n", r"f\.csv:1: non-finite value in field CSV$"),
+    (b"1.0,\n", r"f\.csv:1: malformed field CSV: could not convert string to float: '1\.0,'$"),
+    (b"\xef\xbb\xbf1.0000000000000000e+00\n", r"f\.csv:1: malformed field CSV: .*'\\ufeff1\.0"),
+])
+def test_hand_written_field_csv_errors_as_before(tmp_path, data, message):
+    p = tmp_path / "f.csv"
+    p.write_bytes(data)
+    with pytest.raises(ValueError, match=message):
         read_field_csv(p)
