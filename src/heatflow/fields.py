@@ -276,14 +276,14 @@ def read_rows(fh, path, kind, start, rows=None, *, skip=0, usecols=None, width=N
     `skip` data rows, to name the bad line.
     """
     error = None
-    whole = rows is None and delimiter == "," and dtype is float
     try:
         arr = None
-        if whole:  # from a binary handle of its own, so that fh stays where it is
+        if rows is None and delimiter == "," and dtype is float:
+            # through a binary handle of its own, so that fh stays where loadtxt needs it
             with open(path, "rb") as data:
-                # text mode also ends a line at a lone "\r": a header with one goes to loadtxt
                 head = b"".join(itertools.islice(data, start))
-                arr = None if b"\r" in head else _decode(data, width or 1)
+                if b"\r" not in head:  # text mode also ends a line at a lone "\r"
+                    arr = _decode(data, width or 1)
         if arr is None:
             with warnings.catch_warnings():
                 # numpy >= 1.23 does not count blank or comment lines towards
