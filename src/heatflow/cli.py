@@ -12,7 +12,9 @@ error, 2 usage error.
 """
 
 import argparse
+import concurrent.futures
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -213,6 +215,21 @@ def _cmd_validate_sphere(args):
     return 0
 
 
+def _read_each(read, files):
+    """Yield read(f) for each of files in file order, reading on one thread per CPU
+    the process may run on. numpy's decoding loops release the GIL, so the threads
+    overlap; at the first error the files not yet started are dropped."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        cpus = os.cpu_count() or 1
+    pool = concurrent.futures.ThreadPoolExecutor(min(cpus, len(files)))
+    try:
+        yield from pool.map(read, files)
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def _read_subject_fields(path):
     """Directory of per-subject field CSVs, or one stacked CSV."""
     p = Path(path)
@@ -220,7 +237,7 @@ def _read_subject_fields(path):
         files = sorted(p.glob("*.csv"))
         if not files:
             raise ValueError(f"{path}: no subject CSV files")
-        cols = [read_field_csv(f) for f in files]
+        cols = list(_read_each(read_field_csv, files))
         sizes = {c.size for c in cols}
         if len(sizes) != 1:
             raise ValueError(f"{path}: vertex counts differ across subjects: {sorted(sizes)}")
@@ -253,16 +270,18 @@ def _read_subject_stacks(group_a, group_b):
         if not groups[-1]:
             raise ValueError(f"{path}: no subject CSV files")
     files = groups[0] + groups[1]
-    stacks = [read_stack_csv(f, axis_meaning="scales") for f in files]
-    first = stacks[0]
-    for f, stack in zip(files, stacks):
+    # each stack is copied into its slice as it arrives, so no more than a few are held
+    for i, stack in enumerate(_read_each(read_stack_csv, files)):
+        if i == 0:
+            first = stack
+            values = np.empty((len(files),) + first.values.shape)
         if stack.labels != first.labels:
-            raise ValueError(f"{f}: scale labels {','.join(stack.labels)} differ "
+            raise ValueError(f"{files[i]}: scale labels {','.join(stack.labels)} differ "
                              f"from {','.join(first.labels)} in {files[0]}")
         if stack.values.shape != first.values.shape:
-            raise ValueError(f"{f}: stack shape {stack.values.shape} differs "
+            raise ValueError(f"{files[i]}: stack shape {stack.values.shape} differs "
                              f"from {first.values.shape} in {files[0]}")
-    values = np.stack([stack.values for stack in stacks])
+        values[i] = stack.values
     return values[: len(groups[0])], values[len(groups[0]) :]
 
 

@@ -14,6 +14,7 @@ reader behind the CSV readers, also reads the vertex and face blocks of OFF
 and PLY meshes, always with np.loadtxt.
 """
 
+import contextlib
 import functools
 import itertools
 import json
@@ -24,7 +25,9 @@ import numpy as np
 
 _FMT = "%.16e"
 _BLOCK = 8192  # values encoded at once: the work arrays stay in cache
-_READ_BLOCK = 1 << 16  # bytes decoded at once, then up to a newline: the work arrays stay small
+# bytes decoded at once, then up to a newline: the work arrays stay a few MB, and each
+# ufunc call is long enough that reader threads overlap while it releases the GIL
+_READ_BLOCK = 1 << 18
 # 10**p is tabled for p in [_P0, 297]: the encoder's 16 - floor(log10|x|) for |x| in
 # [1e-280, 1e280], log10 a decade off either way, and the decoder's e - 16 for e in [-280, 280]
 _P0 = -296
@@ -78,7 +81,10 @@ def _split(x):
 def _tables():
     """10**p as hi + lo (exact to about 2**-106) with hi's halves, for p from _P0,
     the 4 ASCII digits of each of 0000..9999 as one little-endian word, and the
-    byte masks that cut a "%.16e" slot to "%d": row e for e + 1 digits, row 17 for zero."""
+    byte masks that cut a "%.16e" slot to "%d": row e for e + 1 digits, row 17 for zero.
+
+    Reader threads may build the tables twice on a first concurrent call; both builds
+    are identical, so whichever the cache keeps is the same."""
     hi, lo = [], []
     for p in range(_P0, 298):
         num, den = 10 ** max(p, 0), 10 ** max(-p, 0)  # 10**p = num / den
@@ -273,7 +279,8 @@ def read_rows(fh, path, kind, start, rows=None, *, skip=0, usecols=None, width=N
     column count; without either each line is one value. Only when loadtxt
     fails, finds fewer rows than declared or none at all, or reads a NaN or
     infinity into a float block, is the file rescanned from line `start`, past
-    `skip` data rows, to name the bad line.
+    `skip` data rows, to name the bad line; a whole-file block without a data
+    line goes to that rescan before loadtxt sees it.
     """
     error = None
     try:
@@ -284,11 +291,14 @@ def read_rows(fh, path, kind, start, rows=None, *, skip=0, usecols=None, width=N
                 head = b"".join(itertools.islice(data, start))
                 if b"\r" not in head:  # text mode also ends a line at a lone "\r"
                     arr = _decode(data, width or 1)
+        if arr is None and rows is None and next(_data_lines(path, start, comments), None) is None:
+            arr = np.empty((0, 1))  # no data line: the rescan names it, where loadtxt would warn
         if arr is None:
-            with warnings.catch_warnings():
-                # numpy >= 1.23 does not count blank or comment lines towards
-                # max_rows, and warns that it does not
-                warnings.simplefilter("ignore", UserWarning)
+            # numpy >= 1.23 does not count blank or comment lines towards max_rows, and
+            # warns that it does not. catch_warnings is not thread-safe, and whole-file
+            # blocks, which reader threads read, never need it.
+            with (warnings.catch_warnings(action="ignore", category=UserWarning)
+                  if rows is not None else contextlib.nullcontext()):
                 arr = np.loadtxt(fh, dtype=dtype, comments=comments, delimiter=delimiter,
                                  usecols=usecols, max_rows=rows, ndmin=2)
     except ValueError as exc:

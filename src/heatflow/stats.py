@@ -153,9 +153,22 @@ def hotelling_t2_map(group_a, group_b, fdr_q=None):
     if n - 2 <= s:
         raise ValueError(f"need n_a + n_b - 2 > S, got n={n} with S={s}")
     diff = a.mean(axis=0) - b.mean(axis=0)  # (N, S)
-    ca = a - a.mean(axis=0, keepdims=True)
-    cb = b - b.mean(axis=0, keepdims=True)
-    cov = (np.einsum("ans,ant->nst", ca, ca) + np.einsum("ans,ant->nst", cb, cb)) / (n - 2)
+    # (ca^T ca + cb^T cb) / (n - 2), each centred group freed once its product is in
+    with np.errstate(over="ignore", invalid="ignore"):
+        ca = a - a.mean(axis=0, keepdims=True)
+        cov = np.einsum("ans,ant->nst", ca, ca)
+        del ca
+        cb = b - b.mean(axis=0, keepdims=True)
+        cov += np.einsum("ans,ant->nst", cb, cb)
+        del cb
+        cov /= n - 2
+    bad = np.flatnonzero(~np.isfinite(cov).all(axis=(1, 2)))
+    if bad.size:
+        v = bad[0]
+        if np.isfinite(a[:, v]).all() and np.isfinite(b[:, v]).all():
+            raise ValueError(f"pooled covariance overflows at vertex {v}: "
+                             f"its features are too large to square")
+        raise ValueError(f"features at vertex {v} are not finite")
     trace = np.trace(cov, axis1=1, axis2=2)
     eigmin = np.linalg.eigvalsh(cov)[:, 0]
     flagged = eigmin <= _SINGULAR_REL * np.maximum(trace / s, 1e-300)

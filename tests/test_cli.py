@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -560,6 +561,116 @@ class TestStatsCommand:
         assert len(decoded) == 24 and all(arr is not None for arr in decoded)
         monkeypatch.setattr(heatflow.fields, "_decode", lambda fh, cols: None)
         assert run("loadtxt") == fast
+
+    def test_outputs_do_not_depend_on_the_reader_thread_count(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(26)
+        for name, shift in (("a", 0.5), ("b", 0.0)):
+            (tmp_path / name).mkdir()
+            (tmp_path / (name + "_stacks")).mkdir()
+            for i in range(7):
+                values = rng.standard_normal((30, 3)) * 10.0 ** rng.integers(-3, 4, 3) + shift
+                write_stack_csv(tmp_path / (name + "_stacks") / f"subj{i:02d}.csv",
+                                FieldStack(values, ["0.001", "0.002", "0.004"], "scales"))
+                write_field_csv(tmp_path / name / f"subj{i:02d}.csv", values[:, 0])
+        workers = []
+        pool = heatflow.cli.concurrent.futures.ThreadPoolExecutor
+        monkeypatch.setattr(heatflow.cli.concurrent.futures, "ThreadPoolExecutor",
+                            lambda n: workers.append(n) or pool(n))
+
+        def run(cpus):
+            monkeypatch.setattr(heatflow.cli.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            workers.clear()
+            for test, suffix in (("hotelling", "_stacks"), ("ttest", ""), ("corr", "")):
+                assert main(["stats", test, "--group-a", str(tmp_path / ("a" + suffix)),
+                             "--group-b", str(tmp_path / ("b" + suffix)), "--fdr", "0.05",
+                             "--out", str(tmp_path / f"{cpus}-{test}")]) == 0
+            return {(test, ext): (tmp_path / f"{cpus}-{test}.{ext}").read_bytes()
+                    for test in ("hotelling", "ttest", "corr") for ext in ("csv", "json")}
+
+        threaded = run(4)
+        assert workers == [4] * 5  # one pool for both stack groups, one per field group
+        assert run(1) == threaded
+        assert workers == [1] * 5
+
+    @pytest.mark.parametrize("cpus, fallback, files, want", [
+        ({0, 1, 2}, None, 5, 3), ({0, 1, 2}, None, 2, 2), (None, 6, 4, 4), (None, None, 3, 1),
+    ])
+    def test_readers_take_one_thread_per_usable_cpu(self, monkeypatch, cpus, fallback, files, want):
+        workers = []
+        pool = heatflow.cli.concurrent.futures.ThreadPoolExecutor
+        monkeypatch.setattr(heatflow.cli.concurrent.futures, "ThreadPoolExecutor",
+                            lambda n: workers.append(n) or pool(n))
+        if cpus is None:  # a platform without sched_getaffinity falls back to cpu_count
+            monkeypatch.delattr(heatflow.cli.os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(heatflow.cli.os, "cpu_count", lambda: fallback)
+        else:
+            monkeypatch.setattr(heatflow.cli.os, "sched_getaffinity", lambda pid: cpus)
+        assert list(heatflow.cli._read_each(lambda x: x * x, list(range(files)))) == [
+            x * x for x in range(files)]
+        assert workers == [want]
+
+    def test_malformed_stack_stops_the_threaded_read(self, tmp_path, monkeypatch, capsys):
+        # a bad file in the middle of 12 is named by path:line as a sequential read
+        # names it, and the files no reader thread has started are never read
+        rng = np.random.default_rng(27)
+        _, ga = _write_group(tmp_path, "ga", rng.standard_normal((5, 6)))
+        _, gb = _write_group(tmp_path, "gb", rng.standard_normal((5, 6)))
+        files = sorted(ga.glob("*.csv")) + sorted(gb.glob("*.csv"))
+        bad = files[4]
+        bad.write_text("0.001\n1.0\nabc\n1.0\n1.0\n1.0\n")
+        started = []
+        read = heatflow.cli.read_stack_csv
+
+        def slow_read(path, *args, **kwargs):
+            started.append(path)
+            if files.index(path) > files.index(bad):
+                time.sleep(0.2)
+            return read(path, *args, **kwargs)
+
+        monkeypatch.setattr(heatflow.cli, "read_stack_csv", slow_read)
+        monkeypatch.setattr(heatflow.cli.os, "sched_getaffinity", lambda pid: {0, 1})
+        assert main(["stats", "hotelling", "--group-a", str(ga), "--group-b", str(gb),
+                     "--out", str(tmp_path / "h")]) == 1
+        assert f"{bad}:3: malformed stack CSV" in capsys.readouterr().err
+        assert set(started) <= set(files[:7])  # the bad file's and at most one more per thread
+        assert not (tmp_path / "h.csv").exists()
+
+    def test_threaded_reads_leave_the_warning_filters_alone(self, tmp_path, monkeypatch):
+        # hand-written stacks go to np.loadtxt; a header-only one is named by the
+        # rescan, with no numpy warning to silence and no filter changed on the way
+        for group in ("ga", "gb"):
+            (tmp_path / group).mkdir()
+            for i in range(4):
+                (tmp_path / group / f"subj{i:02d}.csv").write_text("0.001,0.002\n0.5,1.25\n-2,3.5\n")
+        header_only = tmp_path / "gb" / "subj01.csv"
+        header_only.write_text("0.001,0.002\n")
+        monkeypatch.setattr(heatflow.cli.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        guards = []
+        catch = warnings.catch_warnings
+        monkeypatch.setattr(warnings, "catch_warnings", lambda **kw: guards.append(kw) or catch(**kw))
+        with catch():
+            warnings.simplefilter("error")
+            before = list(warnings.filters)
+            with pytest.raises(ValueError, match=f"^{header_only}: stack CSV has no data rows$"):
+                heatflow.cli._read_subject_stacks(tmp_path / "ga", tmp_path / "gb")
+            assert warnings.filters == before
+        assert guards == []  # catch_warnings swaps the module's filters, racing other threads
+
+    def test_hotelling_names_overflowing_features(self, tmp_path, capsys):
+        rng = np.random.default_rng(28)
+        for group in ("ga", "gb"):
+            (tmp_path / group).mkdir()
+            for i in range(6):
+                write_stack_csv(tmp_path / group / f"subj{i:02d}.csv",
+                                FieldStack(rng.standard_normal((40, 3)) * 1e200,
+                                           ["0.001", "0.002", "0.004"], "scales"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["stats", "hotelling", "--group-a", str(tmp_path / "ga"),
+                         "--group-b", str(tmp_path / "gb"), "--out", str(tmp_path / "h")]) == 1
+        assert ("heatflow stats: error: pooled covariance overflows at vertex 0"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "h.csv").exists()
 
     def test_corr_paired(self, tmp_path):
         rng = np.random.default_rng(2)

@@ -1,3 +1,5 @@
+import warnings
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -136,6 +138,38 @@ class TestHotellingT2:
         out = hotelling_t2_map(a, b)
         assert out.flagged.all()
         assert np.all(np.isfinite(out.statistic))
+
+    def test_pooled_covariance_is_bitwise_the_one_expression(self, monkeypatch):
+        # the covariance is built group by group in place; its bits must be those of
+        # (ca^T ca + cb^T cb) / (n - 2) formed in one expression
+        rng = np.random.default_rng(26)
+        a = rng.standard_normal((7, 50, 4)) * 10.0 ** rng.integers(-5, 6, 4) + 3.0
+        b = rng.standard_normal((6, 50, 4)) * 10.0 ** rng.integers(-5, 6, 4)
+        seen = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: seen.append(m.copy()) or eigvalsh(m))
+        hotelling_t2_map(a, b)
+        ca = a - a.mean(axis=0, keepdims=True)
+        cb = b - b.mean(axis=0, keepdims=True)
+        want = (np.einsum("ans,ant->nst", ca, ca) + np.einsum("ans,ant->nst", cb, cb)) / (13 - 2)
+        assert len(seen) == 1
+        np.testing.assert_array_equal(seen[0].view(np.int64), want.view(np.int64))
+
+    def test_overflowing_features_fail_by_vertex(self):
+        rng = np.random.default_rng(24)
+        a = rng.standard_normal((6, 40, 3))
+        b = rng.standard_normal((6, 40, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^pooled covariance overflows at vertex 0: "):
+                hotelling_t2_map(a * 1e200, b * 1e200)
+            a[:, :5] *= 1e-200  # only the vertices from 5 on overflow
+            b[:, :5] *= 1e-200
+            with pytest.raises(ValueError, match="^pooled covariance overflows at vertex 5: "):
+                hotelling_t2_map(a * 1e200, b * 1e200)
+            b[2, 3, 1] = np.nan
+            with pytest.raises(ValueError, match="^features at vertex 3 are not finite$"):
+                hotelling_t2_map(a, b)
 
     def test_dof_precondition(self):
         rng = np.random.default_rng(7)
