@@ -656,6 +656,33 @@ class TestStatsCommand:
             assert warnings.filters == before
         assert guards == []  # catch_warnings swaps the module's filters, racing other threads
 
+    def test_threaded_stack_read_matches_one_thread_under_stress(self, tmp_path, monkeypatch):
+        # more reader threads than CPUs, switching often, and a first call of the
+        # decoder's cached tables: every value must be bitwise what one thread reads
+        rng = np.random.default_rng(29)
+        for group in ("ga", "gb"):
+            (tmp_path / group).mkdir()
+            for i in range(8):
+                values = rng.standard_normal((300, 3)) * 10.0 ** rng.integers(-300, 300, 3)
+                write_stack_csv(tmp_path / group / f"subj{i:02d}.csv",
+                                FieldStack(values, ["0.001", "0.002", "0.004"], "scales"))
+        (tmp_path / "gb" / "subj07.csv").write_text("0.001,0.002,0.004\n" + "0.5,1.25,-3\n" * 300)
+
+        def read(cpus):
+            monkeypatch.setattr(heatflow.cli.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            return heatflow.cli._read_subject_stacks(tmp_path / "ga", tmp_path / "gb")
+
+        want = read(1)
+        heatflow.fields._tables.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = read(16)
+        finally:
+            sys.setswitchinterval(interval)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g.view(np.int64), w.view(np.int64))
+
     def test_hotelling_names_overflowing_features(self, tmp_path, capsys):
         rng = np.random.default_rng(28)
         for group in ("ga", "gb"):
