@@ -141,7 +141,8 @@ def hotelling_t2_map(group_a, group_b, fdr_q=None):
     group_a and group_b are (n_subjects, N, S) arrays of per-subject stacks.
     T^2 = (n_a n_b / n) d^T S_p^-1 d with pooled covariance S_p; p-values
     through F = T^2 (n - S - 1) / (S (n - 2)) on (S, n - S - 1) dof.
-    Singular pooled covariances are ridge-regularized and flagged.
+    Singular pooled covariances are ridge-regularized and flagged; one that
+    overflows is refused with a ValueError naming its vertex.
     """
     a = _as_subject_scale_array(group_a)
     b = _as_subject_scale_array(group_b)
@@ -167,7 +168,7 @@ def hotelling_t2_map(group_a, group_b, fdr_q=None):
         v = bad[0]
         if np.isfinite(a[:, v]).all() and np.isfinite(b[:, v]).all():
             raise ValueError(f"pooled covariance overflows at vertex {v}: "
-                             f"its features are too large to square")
+                             "its features are too large")
         raise ValueError(f"features at vertex {v} are not finite")
     trace = np.trace(cov, axis1=1, axis2=2)
     eigmin = np.linalg.eigvalsh(cov)[:, 0]
