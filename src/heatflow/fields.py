@@ -14,7 +14,6 @@ reader behind the CSV readers, also reads the vertex and face blocks of OFF
 and PLY meshes, always with np.loadtxt.
 """
 
-import contextlib
 import functools
 import itertools
 import json
@@ -297,10 +296,14 @@ def read_rows(fh, path, kind, start, rows=None, *, skip=0, usecols=None, width=N
             # numpy >= 1.23 does not count blank or comment lines towards max_rows, and
             # warns that it does not. catch_warnings is not thread-safe, and whole-file
             # blocks, which reader threads read, never need it.
-            with (warnings.catch_warnings(action="ignore", category=UserWarning)
-                  if rows is not None else contextlib.nullcontext()):
+            if rows is not None:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)
+                    arr = np.loadtxt(fh, dtype=dtype, comments=comments, delimiter=delimiter,
+                                     usecols=usecols, max_rows=rows, ndmin=2)
+            else:
                 arr = np.loadtxt(fh, dtype=dtype, comments=comments, delimiter=delimiter,
-                                 usecols=usecols, max_rows=rows, ndmin=2)
+                                 usecols=usecols, ndmin=2)
     except ValueError as exc:
         error = exc
     else:

@@ -141,8 +141,8 @@ def hotelling_t2_map(group_a, group_b, fdr_q=None):
     group_a and group_b are (n_subjects, N, S) arrays of per-subject stacks.
     T^2 = (n_a n_b / n) d^T S_p^-1 d with pooled covariance S_p; p-values
     through F = T^2 (n - S - 1) / (S (n - 2)) on (S, n - S - 1) dof.
-    Singular pooled covariances are ridge-regularized and flagged; one that
-    overflows is refused with a ValueError naming its vertex.
+    Singular pooled covariances are ridge-regularized and flagged; a covariance
+    or mean difference that overflows is refused with a ValueError naming its vertex.
     """
     a = _as_subject_scale_array(group_a)
     b = _as_subject_scale_array(group_b)
@@ -153,23 +153,25 @@ def hotelling_t2_map(group_a, group_b, fdr_q=None):
     n = n_a + n_b
     if n - 2 <= s:
         raise ValueError(f"need n_a + n_b - 2 > S, got n={n} with S={s}")
-    diff = a.mean(axis=0) - b.mean(axis=0)  # (N, S)
     # (ca^T ca + cb^T cb) / (n - 2), each centred group freed once its product is in
     with np.errstate(over="ignore", invalid="ignore"):
-        ca = a - a.mean(axis=0, keepdims=True)
+        ma = a.mean(axis=0)
+        mb = b.mean(axis=0)
+        diff = ma - mb  # (N, S)
+        ca = a - ma
         cov = np.einsum("ans,ant->nst", ca, ca)
         del ca
-        cb = b - b.mean(axis=0, keepdims=True)
+        cb = b - mb
         cov += np.einsum("ans,ant->nst", cb, cb)
         del cb
         cov /= n - 2
-    bad = np.flatnonzero(~np.isfinite(cov).all(axis=(1, 2)))
+    bad = np.flatnonzero(~(np.isfinite(cov).all(axis=(1, 2)) & np.isfinite(diff).all(axis=1)))
     if bad.size:
         v = bad[0]
-        if np.isfinite(a[:, v]).all() and np.isfinite(b[:, v]).all():
-            raise ValueError(f"pooled covariance overflows at vertex {v}: "
-                             "its features are too large")
-        raise ValueError(f"features at vertex {v} are not finite")
+        if not (np.isfinite(a[:, v]).all() and np.isfinite(b[:, v]).all()):
+            raise ValueError(f"features at vertex {v} are not finite")
+        what = "mean difference" if np.isfinite(cov[v]).all() else "pooled covariance"
+        raise ValueError(f"{what} overflows at vertex {v}: its features are too large")
     trace = np.trace(cov, axis1=1, axis2=2)
     eigmin = np.linalg.eigvalsh(cov)[:, 0]
     flagged = eigmin <= _SINGULAR_REL * np.maximum(trace / s, 1e-300)

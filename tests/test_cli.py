@@ -1,9 +1,10 @@
+import concurrent.futures
 import json
 import math
 import os
 import subprocess
 import sys
-import time
+import threading
 import warnings
 from pathlib import Path
 
@@ -620,14 +621,24 @@ class TestStatsCommand:
         bad.write_text("0.001\n1.0\nabc\n1.0\n1.0\n1.0\n")
         started = []
         read = heatflow.cli.read_stack_csv
+        cancelled = threading.Event()
 
-        def slow_read(path, *args, **kwargs):
+        class Pool(concurrent.futures.ThreadPoolExecutor):
+            # readers of later files wait until the queued files are cancelled,
+            # however slowly the main thread gets there
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                super().shutdown(wait=False, cancel_futures=cancel_futures)
+                cancelled.set()
+                super().shutdown(wait=wait)
+
+        def held_read(path, *args, **kwargs):
             started.append(path)
             if files.index(path) > files.index(bad):
-                time.sleep(0.2)
+                assert cancelled.wait(timeout=60)
             return read(path, *args, **kwargs)
 
-        monkeypatch.setattr(heatflow.cli, "read_stack_csv", slow_read)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(heatflow.cli, "read_stack_csv", held_read)
         monkeypatch.setattr(heatflow.cli.os, "sched_getaffinity", lambda pid: {0, 1})
         assert main(["stats", "hotelling", "--group-a", str(ga), "--group-b", str(gb),
                      "--out", str(tmp_path / "h")]) == 1

@@ -171,6 +171,20 @@ class TestHotellingT2:
             with pytest.raises(ValueError, match="^features at vertex 3 are not finite$"):
                 hotelling_t2_map(a, b)
 
+    def test_overflowing_group_sums_fail_without_a_warning(self):
+        # finite features whose group sums overflow are named by the same error,
+        # with no RuntimeWarning from the means before it
+        rng = np.random.default_rng(26)
+        a = rng.uniform(1.0, 1.5, (6, 40, 3)) * 1e308
+        b = rng.uniform(-1.0, 1.0, (6, 40, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^pooled covariance overflows at vertex 0: "):
+                hotelling_t2_map(a, b)
+            # one subject far from three: the covariance is finite, the mean difference is not
+            with pytest.raises(ValueError, match="^mean difference overflows at vertex 0: "):
+                hotelling_t2_map(np.full((1, 2, 1), 1.5e308), np.full((3, 2, 1), -5e307))
+
     def test_dof_precondition(self):
         rng = np.random.default_rng(7)
         arr = rng.standard_normal((2, 5, 3))
