@@ -230,75 +230,73 @@ def _read_each(read, files):
         pool.shutdown(cancel_futures=True)
 
 
-def _read_subject_fields(path):
-    """Directory of per-subject field CSVs, or one stacked CSV."""
-    p = Path(path)
-    if p.is_dir():
-        files = sorted(p.glob("*.csv"))
-        if not files:
+def _field(path):
+    return (), read_field_csv(path)
+
+
+def _stack(path):
+    stack = read_stack_csv(path)
+    return stack.labels, stack.values
+
+
+def _read_groups(paths, read, kind):
+    """Each group's subject names and (n, ...) values. The sorted CSVs of both
+    groups' directories are read on one pool by read(file) -> (labels, values)
+    into one array, each checked against the first file's labels and shape; a
+    group given as a file is one stacked CSV, a column per subject."""
+    dirs = [sorted(Path(p).glob("*.csv")) if Path(p).is_dir() else None for p in paths]
+    for path, files in zip(paths, dirs):
+        if files == []:
             raise ValueError(f"{path}: no subject CSV files")
-        cols = list(_read_each(read_field_csv, files))
-        sizes = {c.size for c in cols}
-        if len(sizes) != 1:
-            raise ValueError(f"{path}: vertex counts differ across subjects: {sorted(sizes)}")
-        return FieldStack(np.column_stack(cols), [f.stem for f in files], "subjects")
-    return read_stack_csv(p, axis_meaning="subjects")
-
-
-def _pair_by_stem(a, b, path_a, path_b):
-    """b's subjects in the order of a's, matched by file stem (column label of a stacked CSV)."""
-    for path, stack in ((path_a, a), (path_b, b)):
-        if len(set(stack.labels)) < len(stack.labels):
-            raise ValueError(f"{path}: repeated subject names cannot be paired")
-    unmatched = sorted(set(a.labels).symmetric_difference(b.labels))
-    if unmatched:
-        has, lacks = (path_a, path_b) if unmatched[0] in a.labels else (path_b, path_a)
-        raise ValueError(f"{has}: subject {unmatched[0]} has no partner in {lacks}")
-    return FieldStack(b.values[:, [b.labels.index(s) for s in a.labels]], a.labels, "subjects")
-
-
-def _read_subject_stacks(group_a, group_b):
-    """Two directories of per-subject multiscale stack CSVs as two (n, N, S) arrays.
-
-    Every stack must have the scale labels and shape of the first one read.
-    """
-    groups = []
-    for path in (group_a, group_b):
-        if not Path(path).is_dir():
-            raise ValueError(f"{path}: hotelling needs a directory of per-subject stacks")
-        groups.append(sorted(Path(path).glob("*.csv")))
-        if not groups[-1]:
-            raise ValueError(f"{path}: no subject CSV files")
-    files = groups[0] + groups[1]
-    # each stack is copied into its slice as it arrives, so no more than a few are held
-    for i, stack in enumerate(_read_each(read_stack_csv, files)):
+    files = sum(filter(None, dirs), [])
+    # each file is copied into its slice as it arrives, so no more than a few are held
+    for i, (labels, arr) in enumerate(_read_each(read, files) if files else ()):
         if i == 0:
-            first = stack
-            values = np.empty((len(files),) + first.values.shape)
-        if stack.labels != first.labels:
-            raise ValueError(f"{files[i]}: scale labels {','.join(stack.labels)} differ "
-                             f"from {','.join(first.labels)} in {files[0]}")
-        if stack.values.shape != first.values.shape:
-            raise ValueError(f"{files[i]}: stack shape {stack.values.shape} differs "
-                             f"from {first.values.shape} in {files[0]}")
-        values[i] = stack.values
-    return values[: len(groups[0])], values[len(groups[0]) :]
+            first = labels
+            values = np.empty((len(files),) + arr.shape)
+        if labels != first:
+            raise ValueError(f"{files[i]}: scale labels {','.join(labels)} differ "
+                             f"from {','.join(first)} in {files[0]}")
+        if arr.shape != values.shape[1:]:
+            raise ValueError(f"{files[i]}: {kind} shape {arr.shape} differs "
+                             f"from {values.shape[1:]} in {files[0]}")
+        values[i] = arr
+    groups, start = [], 0
+    for path, found in zip(paths, dirs):
+        if found is None:
+            stack = read_stack_csv(path, axis_meaning="subjects")
+            groups.append((list(stack.labels), stack.values.T))
+        else:
+            groups.append(([f.stem for f in found], values[start:start + len(found)]))
+            start += len(found)
+    return groups
 
 
 def _cmd_stats(args):
     _require(args.fdr is None or 0 < args.fdr < 1, "fdr", "in (0, 1)", args.fdr)
-    if args.test == "ttest":
-        out = two_sample_t_map(
-            _read_subject_fields(args.group_a),
-            _read_subject_fields(args.group_b),
-            fdr_q=args.fdr,
-        )
-    elif args.test == "hotelling":
-        a, b = _read_subject_stacks(args.group_a, args.group_b)
+    paths = (args.group_a, args.group_b)
+    if args.test == "hotelling":
+        for path in paths:
+            if not Path(path).is_dir():
+                raise ValueError(f"{path}: hotelling needs a directory of per-subject stacks")
+        (_, a), (_, b) = _read_groups(paths, _stack, "stack")
         out = hotelling_t2_map(a, b, fdr_q=args.fdr)
     else:
-        a, b = _read_subject_fields(args.group_a), _read_subject_fields(args.group_b)
-        out = correlation_map(a, _pair_by_stem(a, b, args.group_a, args.group_b), fdr_q=args.fdr)
+        (names_a, a), (names_b, b) = _read_groups(paths, _field, "field")
+        if args.test == "corr":  # b's subjects in the order of a's, matched by name
+            for path, names in zip(paths, (names_a, names_b)):
+                if len(set(names)) < len(names):
+                    raise ValueError(f"{path}: repeated subject names cannot be paired")
+            unmatched = sorted(set(names_a).symmetric_difference(names_b))
+            if unmatched:
+                has, lacks = paths if unmatched[0] in names_a else paths[::-1]
+                raise ValueError(f"{has}: subject {unmatched[0]} has no partner in {lacks}")
+            b, names_b = b[[names_b.index(s) for s in names_a]], names_a
+        # each vertex's subjects contiguous, as a stacked CSV reads them: numpy sums a
+        # strided row in another order, which would move the last bits of the maps
+        a, b = (FieldStack(np.ascontiguousarray(g.T), names, "subjects")
+                for g, names in ((a, names_a), (b, names_b)))
+        out = (two_sample_t_map if args.test == "ttest" else correlation_map)(a, b, fdr_q=args.fdr)
     write_statmap(out, args.out + ".csv", args.out + ".json")
     _echo_config(args, args.out)
     print(f"stats {args.test}: N={out.statistic.size} significant={int(out.significant.sum())}")

@@ -93,15 +93,13 @@ class PolynomialFamily:
 
 @dataclass(frozen=True)
 class ExpansionCoefficients:
-    """Spectral-weight expansion: family, diffusion time and coefficients.
+    """Spectral-weight expansion: family and coefficients.
 
     coeffs is (m+1,) for one weight or (m+1, S) for S weights, one per
-    column, that share one recurrence. sigma is None for generic (non-heat)
-    weights such as wavelet kernels.
+    column, that share one recurrence.
     """
 
     family: PolynomialFamily
-    sigma: float | None
     coeffs: np.ndarray
 
     def __post_init__(self):
@@ -198,7 +196,7 @@ def chebyshev_coefficients(sigma, b, m=None):
         return c
 
     c = _chop(block) if m is None else block(0, m + 1)
-    return ExpansionCoefficients(family, float(sigma), c)
+    return ExpansionCoefficients(family, c)
 
 
 def _jacobi_max_abs(alpha, beta, n):
@@ -226,7 +224,7 @@ def jacobi_coefficients(sigma, b, alpha, beta, m=None):
     if sigma == 0.0:
         c = np.zeros(1 if m is None else m + 1)
         c[0] = 1.0
-        return ExpansionCoefficients(family, 0.0, c)
+        return ExpansionCoefficients(family, c)
     bs = float(b) * float(sigma)
     log_bs = math.log(bs)
     s = alpha + beta
@@ -246,7 +244,7 @@ def jacobi_coefficients(sigma, b, alpha, beta, m=None):
         c = _chop(block, lambda n: _jacobi_max_abs(alpha, beta, n))
     else:
         c = block(0, m + 1)
-    return ExpansionCoefficients(family, float(sigma), c)
+    return ExpansionCoefficients(family, c)
 
 
 def hermite_coefficients(sigma, m):
@@ -255,7 +253,7 @@ def hermite_coefficients(sigma, m):
     c = np.zeros(m + 1)
     if sigma == 0.0:
         c[0] = 1.0
-        return ExpansionCoefficients(PolynomialFamily.hermite(), 0.0, c)
+        return ExpansionCoefficients(PolynomialFamily.hermite(), c)
     lead = sigma * sigma / 4.0
     if lead > 709.0:
         raise RuntimeError(f"hermite coefficients overflow at sigma={sigma}")
@@ -265,7 +263,7 @@ def hermite_coefficients(sigma, m):
         if log_mag < -745.0:
             continue
         c[n] = (1.0 if n % 2 == 0 else -1.0) * math.exp(log_mag)
-    return ExpansionCoefficients(PolynomialFamily.hermite(), float(sigma), c)
+    return ExpansionCoefficients(PolynomialFamily.hermite(), c)
 
 
 def laguerre_coefficients(sigma, m):
@@ -277,7 +275,7 @@ def laguerre_coefficients(sigma, m):
     for n in range(m + 1):
         c[n] = val
         val *= ratio
-    return ExpansionCoefficients(PolynomialFamily.laguerre(), float(sigma), c)
+    return ExpansionCoefficients(PolynomialFamily.laguerre(), c)
 
 
 def heat_coefficients(family, sigma, m=None):
@@ -317,7 +315,7 @@ def _coefficient_stack(column, family, params, m):
     c = np.zeros((max(map(len, columns)), len(columns)))
     for j, col in enumerate(columns):
         c[: len(col), j] = col
-    return ExpansionCoefficients(family, None, c)
+    return ExpansionCoefficients(family, c)
 
 
 def _jacobi_norm_log(alpha, beta, n):
@@ -378,7 +376,7 @@ def numeric_coefficients(weight, family, m, nodes=None):
         X2, wW = sparse.diags(2.0 * x, format="csr"), w * W
         c = np.concatenate([P @ wW for _, P in _blocks(family, X2, np.ones(K), m)])
         c /= [math.exp(_jacobi_norm_log(family.alpha, family.beta, n)) for n in range(m + 1)]
-    return ExpansionCoefficients(family, None, c)
+    return ExpansionCoefficients(family, c)
 
 
 def evaluate_expansion(coeffs, lam):

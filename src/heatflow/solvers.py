@@ -64,7 +64,7 @@ def _heat_expansion(op, sigmas, family=None, m=None):
             warnings.warn(f"{family.kind} expansion with sigma*lambda_max = {product:.3g} grows before "
                           "it decays; expect slow or failing convergence", RuntimeWarning, stacklevel=3)
     if top == 0.0:
-        return family, ExpansionCoefficients(family, None, np.ones((1, len(sigmas))))
+        return family, ExpansionCoefficients(family, np.ones((1, len(sigmas))))
     return family, _coefficient_stack(heat_coefficients, family, sigmas, m)
 
 

@@ -171,11 +171,6 @@ class SphericalHarmonicCoeffs:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-    def coefficient(self, l, m):
-        if abs(m) > l or l > self.max_degree:
-            raise ValueError(f"(l={l}, m={m}) outside fitted degrees")
-        return float(self.values[sph_index(l, m)])
-
 
 def spharm_fit(mesh, f, L):
     """Area-weighted least-squares SPHARM coefficients of a vertex field.

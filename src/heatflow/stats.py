@@ -2,16 +2,15 @@
 
 Two-sample pooled-variance T maps, Hotelling's T^2 over per-vertex feature
 vectors, Benjamini-Hochberg FDR, and per-vertex Pearson correlation maps.
-p-values are two-sided and come from the regularized incomplete beta
-function (Student-t and F tails) or the normal tail of the Fisher
-transform.
+Every p-value comes from the regularized incomplete beta function: the
+two-sided Student-t tail of the T and correlation maps, the upper F tail of
+Hotelling's. Sums that overflow are refused by vertex, never mapped.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, erfc
+from scipy.special import betainc
 
 from .fields import FieldStack, _encode, write_json
 
@@ -40,7 +39,7 @@ class StatMap:
         p = np.asarray(self.p_values, dtype=float)
         if stat.shape != p.shape or stat.ndim != 1:
             raise ValueError("statistic and p_values must be matching vectors")
-        if np.any((p < 0) | (p > 1)):
+        if not np.all((p >= 0) & (p <= 1)):
             raise ValueError("p-values must lie in [0, 1]")
         object.__setattr__(self, "statistic", stat)
         object.__setattr__(self, "p_values", p)
@@ -75,7 +74,7 @@ def bh_fdr(p_values, q):
     rejected. Ties at the threshold are all rejected.
     """
     p = np.asarray(p_values, dtype=float)
-    if np.any((p < 0) | (p > 1)):
+    if not np.all((p >= 0) & (p <= 1)):
         raise ValueError("p-values must lie in [0, 1]")
     if not 0.0 < q < 1.0:
         raise ValueError(f"FDR rate must be in (0, 1), got {q}")
@@ -106,7 +105,8 @@ def _finalize(stat, p, dof, flagged, fdr_q, n_a, n_b):
 def two_sample_t_map(group_a, group_b, fdr_q=None):
     """Pooled-variance two-sample T map; sign is mean(A) - mean(B).
 
-    Vertices with zero pooled variance get T = 0, p = 1 and a flag.
+    Vertices with zero pooled variance get T = 0, p = 1 and a flag; a pooled
+    variance that overflows, as it does wherever a group mean does, is refused.
     """
     a = _as_subject_matrix(group_a)
     b = _as_subject_matrix(group_b)
@@ -116,8 +116,12 @@ def two_sample_t_map(group_a, group_b, fdr_q=None):
     if n_a < 2 or n_b < 2:
         raise ValueError("need at least two subjects per group")
     dof = n_a + n_b - 2
-    diff = a.mean(axis=1) - b.mean(axis=1)
-    pooled = ((n_a - 1) * a.var(axis=1, ddof=1) + (n_b - 1) * b.var(axis=1, ddof=1)) / dof
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = a.mean(axis=1) - b.mean(axis=1)
+        pooled = ((n_a - 1) * a.var(axis=1, ddof=1) + (n_b - 1) * b.var(axis=1, ddof=1)) / dof
+    bad = np.flatnonzero(~np.isfinite(pooled))
+    if bad.size:
+        raise ValueError(f"pooled variance overflows at vertex {bad[0]}: its values are too large")
     scale = np.sqrt(pooled * (1.0 / n_a + 1.0 / n_b))
     flagged = scale == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -190,9 +194,10 @@ def hotelling_t2_map(group_a, group_b, fdr_q=None):
 def correlation_map(stack_a, stack_b, fdr_q=None):
     """Per-vertex Pearson correlation across subjects aligned column by column.
 
-    p-values come from the Fisher z transform with standard error
-    1/sqrt(n-3), two-sided normal tail. Zero-variance vertices are flagged
-    with r = 0, p = 1.
+    p is the exact two-sided Student-t tail on n - 2 dof for independent
+    bivariate-normal data, I_{(1 - r)(1 + r)}((n - 2) / 2, 1/2) in r, so |r| = 1
+    gives p = 0. Zero-variance vertices are flagged with r = 0, p = 1; a
+    variance product that overflows (it bounds the cross-product sum) is refused.
     """
     a = _as_subject_matrix(stack_a)
     b = _as_subject_matrix(stack_b)
@@ -200,19 +205,21 @@ def correlation_map(stack_a, stack_b, fdr_q=None):
         raise ValueError(f"stack shapes differ: {a.shape} vs {b.shape}")
     n = a.shape[1]
     if n < 3:
-        raise ValueError("need at least 3 subjects for the Fisher transform")
-    ca = a - a.mean(axis=1, keepdims=True)
-    cb = b - b.mean(axis=1, keepdims=True)
-    va = np.einsum("ns,ns->n", ca, ca)
-    vb = np.einsum("ns,ns->n", cb, cb)
+        raise ValueError("need at least 3 subjects for a correlation p-value")
+    with np.errstate(over="ignore", invalid="ignore"):
+        ca = a - a.mean(axis=1, keepdims=True)
+        cb = b - b.mean(axis=1, keepdims=True)
+        va = np.einsum("ns,ns->n", ca, ca)
+        vb = np.einsum("ns,ns->n", cb, cb)
+        bad = np.flatnonzero(~np.isfinite(va * vb))
+    if bad.size:
+        raise ValueError(f"variance product overflows at vertex {bad[0]}: its values are too large")
     flagged = (va == 0.0) | (vb == 0.0)
     denom = np.sqrt(np.where(flagged, 1.0, va * vb))
     r = np.where(flagged, 0.0, np.einsum("ns,ns->n", ca, cb) / denom)
     r = np.clip(r, -1.0, 1.0)
-    z = np.arctanh(np.clip(r, -1.0 + 1e-16, 1.0 - 1e-16)) * math.sqrt(n - 3)
-    p = erfc(np.abs(z) / math.sqrt(2.0))
-    p[flagged] = 1.0
-    return _finalize(r, p, (n - 3,), flagged, fdr_q, n, n)
+    p = betainc((n - 2) / 2.0, 0.5, (1.0 - r) * (1.0 + r))
+    return _finalize(r, p, (n - 2,), flagged, fdr_q, n, n)
 
 
 def write_statmap(statmap, csv_path, json_path):

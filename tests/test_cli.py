@@ -589,9 +589,9 @@ class TestStatsCommand:
                     for test in ("hotelling", "ttest", "corr") for ext in ("csv", "json")}
 
         threaded = run(4)
-        assert workers == [4] * 5  # one pool for both stack groups, one per field group
+        assert workers == [4] * 3  # one pool for both groups of each test
         assert run(1) == threaded
-        assert workers == [1] * 5
+        assert workers == [1] * 3
 
     @pytest.mark.parametrize("cpus, fallback, files, want", [
         ({0, 1, 2}, None, 5, 3), ({0, 1, 2}, None, 2, 2), (None, 6, 4, 4), (None, None, 3, 1),
@@ -663,7 +663,8 @@ class TestStatsCommand:
             warnings.simplefilter("error")
             before = list(warnings.filters)
             with pytest.raises(ValueError, match=f"^{header_only}: stack CSV has no data rows$"):
-                heatflow.cli._read_subject_stacks(tmp_path / "ga", tmp_path / "gb")
+                heatflow.cli._read_groups((tmp_path / "ga", tmp_path / "gb"), heatflow.cli._stack,
+                                          "stack")
             assert warnings.filters == before
         assert guards == []  # catch_warnings swaps the module's filters, racing other threads
 
@@ -681,7 +682,9 @@ class TestStatsCommand:
 
         def read(cpus):
             monkeypatch.setattr(heatflow.cli.os, "sched_getaffinity", lambda pid: set(range(cpus)))
-            return heatflow.cli._read_subject_stacks(tmp_path / "ga", tmp_path / "gb")
+            groups = heatflow.cli._read_groups((tmp_path / "ga", tmp_path / "gb"),
+                                               heatflow.cli._stack, "stack")
+            return [values for _, values in groups]
 
         want = read(1)
         heatflow.fields._tables.cache_clear()
@@ -709,6 +712,72 @@ class TestStatsCommand:
         assert ("heatflow stats: error: pooled covariance overflows at vertex 0"
                 in capsys.readouterr().err)
         assert not (tmp_path / "h.csv").exists()
+
+    @pytest.mark.parametrize("test, what", [("ttest", "pooled variance"),
+                                            ("corr", "variance product")])
+    def test_overflowing_fields_are_named(self, tmp_path, capsys, test, what):
+        rng = np.random.default_rng(30)
+        mat = rng.standard_normal((4, 6)) * 1e160
+        ga, _ = _write_group(tmp_path, "ga", mat)
+        gb, _ = _write_group(tmp_path, "gb", mat + rng.standard_normal((4, 6)) * 1e159)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["stats", test, "--group-a", str(ga), "--group-b", str(gb),
+                         "--out", str(tmp_path / "x")]) == 1
+        assert (f"heatflow stats: error: {what} overflows at vertex 0: its values are too large"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("test", ["ttest", "corr"])
+    def test_field_of_another_length_is_named(self, tmp_path, capsys, test):
+        rng = np.random.default_rng(31)
+        ga, _ = _write_group(tmp_path, "ga", rng.standard_normal((6, 4)))
+        gb, _ = _write_group(tmp_path, "gb", rng.standard_normal((6, 4)))
+        odd = gb / "subj02.csv"
+        write_field_csv(odd, rng.standard_normal(5))
+        assert main(["stats", test, "--group-a", str(ga), "--group-b", str(gb),
+                     "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert f"{odd}: field shape (5,) differs from (6,) in {ga / 'subj00.csv'}" in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_hotelling_refuses_a_stacked_group_before_any_read(self, tmp_path, capsys,
+                                                                monkeypatch):
+        def read(*args, **kwargs):
+            raise AssertionError("a CSV was read")
+
+        rng = np.random.default_rng(32)
+        _, ga = _write_group(tmp_path, "ga", rng.standard_normal((6, 4)))
+        stacked = tmp_path / "gb.csv"
+        write_stack_csv(stacked, FieldStack(rng.standard_normal((6, 4)),
+                                            [f"subj{i:02d}" for i in range(4)], "subjects"))
+        monkeypatch.setattr(heatflow.cli, "read_field_csv", read)
+        monkeypatch.setattr(heatflow.cli, "read_stack_csv", read)
+        assert main(["stats", "hotelling", "--group-a", str(ga), "--group-b", str(stacked),
+                     "--out", str(tmp_path / "h")]) == 1
+        assert (f"{stacked}: hotelling needs a directory of per-subject stacks"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("test", ["ttest", "corr"])
+    def test_two_stacked_groups_read_as_their_directories(self, tmp_path, monkeypatch, test):
+        # two stacked CSVs start no reader pool, and give the bytes of their directories
+        rng = np.random.default_rng(33)
+        mats = {name: rng.standard_normal((9, 5)) for name in ("ga", "gb")}
+        for name, mat in mats.items():
+            _write_group(tmp_path, name, mat)
+            write_stack_csv(tmp_path / f"{name}.csv", FieldStack(
+                mat, [f"subj{i:02d}" for i in range(5)], "subjects"))
+        workers = []
+        pool = heatflow.cli.concurrent.futures.ThreadPoolExecutor
+        monkeypatch.setattr(heatflow.cli.concurrent.futures, "ThreadPoolExecutor",
+                            lambda n: workers.append(n) or pool(n))
+        for suffix, out in (("", "dirs"), (".csv", "stacked")):
+            assert main(["stats", test, "--group-a", str(tmp_path / ("ga" + suffix)),
+                         "--group-b", str(tmp_path / ("gb" + suffix)), "--fdr", "0.1",
+                         "--out", str(tmp_path / out)]) == 0
+        assert len(workers) == 1
+        for ext in ("csv", "json"):
+            assert (tmp_path / f"dirs.{ext}").read_bytes() == (tmp_path / f"stacked.{ext}").read_bytes()
 
     def test_corr_paired(self, tmp_path):
         rng = np.random.default_rng(2)

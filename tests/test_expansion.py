@@ -395,7 +395,7 @@ class TestBlockEngine:
         n = np.arange(m + 1)
         decay = 1.0 / sp.factorial(n) if family.kind == "hermite" else 0.8**n
         c = rng.standard_normal((m + 1, S)) * decay[:, None]
-        coeffs = ExpansionCoefficients(family, None, c[:, 0] if S == 1 else c)
+        coeffs = ExpansionCoefficients(family, c[:, 0] if S == 1 else c)
         got = apply_expansion(op, coeffs, f)
 
         X = op.C.toarray() / op.A[:, None]
@@ -445,9 +445,7 @@ class TestApplyExpansion:
         op = assemble_lb_operator(make_grid_mesh(6, 6, bump=0.3))
         rng = np.random.default_rng(3)
         f = rng.standard_normal(op.n_vertices)
-        coeffs = ExpansionCoefficients(
-            PolynomialFamily.chebyshev(b=10.0), None, np.array([1.0, 0.0, 0.0])
-        )
+        coeffs = ExpansionCoefficients(PolynomialFamily.chebyshev(b=10.0), np.array([1.0, 0.0, 0.0]))
         np.testing.assert_allclose(apply_expansion(op, coeffs, f), f, atol=1e-14)
 
     def test_constant_field_preserved_by_heat_weights(self):
@@ -493,7 +491,7 @@ class TestApplyExpansion:
         # three coefficient columns share one recurrence: 37 matvecs, not 111
         other = chebyshev_coefficients(0.2, 10.0, 37).coeffs
         columns = ExpansionCoefficients(
-            coeffs.family, None, np.column_stack([coeffs.coeffs, other, coeffs.coeffs])
+            coeffs.family, np.column_stack([coeffs.coeffs, other, coeffs.coeffs])
         )
         got = apply_expansion(op, columns, np.ones(op.n_vertices))
         assert got.shape == (op.n_vertices, 3)
@@ -509,10 +507,10 @@ class TestApplyExpansion:
         c = np.column_stack([c, np.random.default_rng(8).standard_normal((m + 1, 2)) / 10.0])
         f = np.random.default_rng(9).standard_normal(op.n_vertices)
         family = PolynomialFamily.chebyshev(b=b)
-        got = apply_expansion(op, ExpansionCoefficients(family, None, c), f)
+        got = apply_expansion(op, ExpansionCoefficients(family, c), f)
         assert got.shape == (op.n_vertices, 5)
         separate = np.column_stack(
-            [apply_expansion(op, ExpansionCoefficients(family, None, col), f) for col in c.T]
+            [apply_expansion(op, ExpansionCoefficients(family, col), f) for col in c.T]
         )
         X = (2.0 / b) * op.C.toarray() / op.A[:, None] - np.eye(op.n_vertices)
         prev, cur = f, X @ f

@@ -3,6 +3,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -82,6 +83,23 @@ class TestTwoSampleT:
     def test_group_size_validation(self):
         with pytest.raises(ValueError, match="two subjects"):
             two_sample_t_map(subjects([[1.0]]), subjects([[1.0, 2.0]]))
+
+    def test_overflowing_values_fail_by_vertex(self):
+        rng = np.random.default_rng(30)
+        a = rng.standard_normal((4, 6))
+        b = rng.standard_normal((4, 6))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^pooled variance overflows at vertex 0: "
+                                                 "its values are too large$"):
+                two_sample_t_map(subjects(a * 1e160), subjects(b * 1e160))
+            a[:2] *= 1e-160  # only the vertices from 2 on overflow
+            b[:2] *= 1e-160
+            with pytest.raises(ValueError, match="^pooled variance overflows at vertex 2: "):
+                two_sample_t_map(subjects(a * 1e160), subjects(b * 1e160))
+            # group sums that overflow leave the variance not finite as well
+            with pytest.raises(ValueError, match="^pooled variance overflows at vertex 0: "):
+                two_sample_t_map(subjects([[1.5e308, 1.5e308]]), subjects([[0.0, 1.0]]))
 
 
 class TestHotellingT2:
@@ -193,6 +211,13 @@ class TestHotellingT2:
 
 
 class TestBhFdr:
+    def test_nan_p_values_refused(self):
+        with pytest.raises(ValueError, match="p-values must lie in"):
+            bh_fdr(np.array([0.01, np.nan]), 0.05)
+        with pytest.raises(ValueError, match="p-values must lie in"):
+            StatMap(np.zeros(2), np.array([np.nan, 0.5]), (3,), np.zeros(2, dtype=bool),
+                    np.zeros(2, dtype=bool), 2, 3)
+
     def test_all_ones_no_rejection(self):
         threshold, mask = bh_fdr(np.ones(10), 0.05)
         assert threshold is None
@@ -258,6 +283,74 @@ class TestCorrelationMap:
         out = correlation_map(subjects(a), subjects(b))
         assert out.flagged[0]
         assert out.p_values[0] == 1.0
+
+    @pytest.mark.parametrize("n", [3, 4, 10, 30])
+    def test_p_is_the_exact_t_on_n_minus_2_dof(self, n):
+        rng = np.random.default_rng(31 + n)
+        a = rng.standard_normal((200, n))
+        b = 0.5 * a + rng.standard_normal((200, n))
+        out = correlation_map(subjects(a), subjects(b))
+        want = scipy.stats.pearsonr(a, b, axis=1)
+        np.testing.assert_allclose(out.statistic, want.statistic, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(out.p_values, want.pvalue, rtol=1e-11)
+        assert out.dof == (n - 2,)
+
+    def test_perfect_correlation_has_p_zero_without_a_warning(self):
+        vals = np.random.default_rng(35).standard_normal((12, 6))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for sign in (1.0, -1.0):
+                out = correlation_map(subjects(vals), subjects(sign * vals))
+                np.testing.assert_array_equal(np.abs(out.statistic), 1.0)
+                np.testing.assert_array_equal(out.p_values, 0.0)
+
+    def test_too_few_subjects_named(self):
+        with pytest.raises(ValueError, match="^need at least 3 subjects for a correlation p-value$"):
+            correlation_map(subjects([[1.0, 2.0]]), subjects([[2.0, 1.0]]))
+
+    @pytest.mark.parametrize("scale", [1e100, 1e160])
+    def test_overflowing_values_fail_by_vertex(self, scale):
+        rng = np.random.default_rng(36)
+        a = rng.standard_normal((4, 8))
+        b = a + 0.2 * rng.standard_normal((4, 8))  # r about 0.98
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^variance product overflows at vertex 0: "
+                                                 "its values are too large$"):
+                correlation_map(subjects(a * scale), subjects(b * scale))
+            a[:3] /= scale  # only vertex 3 overflows
+            b[:3] /= scale
+            with pytest.raises(ValueError, match="^variance product overflows at vertex 3: "):
+                correlation_map(subjects(a * scale), subjects(b * scale))
+
+
+class TestNullCalibration:
+    """Seeded null studies of 642 independent vertices: the share of p-values
+    below a level must be that level, to within seeded noise."""
+
+    @staticmethod
+    def _null_p(test_map, n_a, n_b, studies, seed):
+        rng = np.random.default_rng(seed)
+        return np.concatenate([
+            test_map(subjects(rng.standard_normal((642, n_a))),
+                     subjects(rng.standard_normal((642, n_b)))).p_values
+            for _ in range(studies)
+        ])
+
+    def test_t_map_at_30_plus_30_subjects(self):
+        p = self._null_p(two_sample_t_map, 30, 30, 20, 1000)
+        assert 0.04 <= np.mean(p < 0.05) <= 0.06
+
+    def test_correlation_tail_at_10_subjects(self):
+        # the Fisher z normal tail put about 0.0022 of null p-values below 0.001 here
+        p = self._null_p(correlation_map, 10, 10, 40, 1001)
+        assert 0.0004 <= np.mean(p < 0.001) <= 0.0018
+        assert 0.04 <= np.mean(p < 0.05) <= 0.06
+
+    def test_correlation_at_3_subjects_is_not_all_ones(self):
+        p = self._null_p(correlation_map, 3, 3, 1, 1002)
+        assert np.mean(p < 1.0) == 1.0
+        assert 0.03 <= np.mean(p < 0.05) <= 0.07
 
 
 class TestPValueHelpers:
