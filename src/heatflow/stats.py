@@ -16,6 +16,7 @@ from .fields import FieldStack, _encode, write_json
 
 _RIDGE_REL = 1e-10
 _SINGULAR_REL = 1e-12
+_BLOCK_BYTES = 1 << 22  # hotelling_t2_map work space per block: 8 (n + 3 S) S bytes a vertex
 
 
 @dataclass(frozen=True)
@@ -56,14 +57,16 @@ def _as_subject_matrix(stack):
 def student_t_p_value(t, dof):
     """Two-sided Student-t p-value via the incomplete beta function."""
     t = np.asarray(t, dtype=float)
-    x = dof / (dof + t * t)
+    with np.errstate(over="ignore"):  # t * t = inf past |t| ~ 1e154 gives the right p = 0
+        x = dof / (dof + t * t)
     return betainc(dof / 2.0, 0.5, x)
 
 
 def f_p_value(f, d1, d2):
     """Upper-tail F(d1, d2) p-value via the incomplete beta function."""
     f = np.asarray(f, dtype=float)
-    x = d2 / (d2 + d1 * np.maximum(f, 0.0))
+    with np.errstate(over="ignore"):  # d1 f = inf gives the right p = 0
+        x = d2 / (d2 + d1 * np.maximum(f, 0.0))
     return betainc(d2 / 2.0, d1 / 2.0, x)
 
 
@@ -145,8 +148,13 @@ def hotelling_t2_map(group_a, group_b, fdr_q=None):
     group_a and group_b are (n_subjects, N, S) arrays of per-subject stacks.
     T^2 = (n_a n_b / n) d^T S_p^-1 d with pooled covariance S_p; p-values
     through F = T^2 (n - S - 1) / (S (n - 2)) on (S, n - S - 1) dof.
-    Singular pooled covariances are ridge-regularized and flagged; a covariance
-    or mean difference that overflows is refused with a ValueError naming its vertex.
+    Vertices go in blocks sized by a fixed byte budget; no vertex's arithmetic
+    touches another's, so the map does not depend on the block size. A block's
+    S_p takes one batched matmul per centred (Nb, S, n) group. A vertex whose
+    eigvalsh(S_p)[0] <= 1e-12 trace(S_p) / S is flagged and ridge-regularized;
+    a Cholesky factorization of S_p - shift I certifies a block has no such
+    vertex, and only a block it fails on runs eigvalsh. A covariance or mean
+    difference that overflows is refused with a ValueError naming its vertex.
     """
     a = _as_subject_scale_array(group_a)
     b = _as_subject_scale_array(group_b)
@@ -157,33 +165,39 @@ def hotelling_t2_map(group_a, group_b, fdr_q=None):
     n = n_a + n_b
     if n - 2 <= s:
         raise ValueError(f"need n_a + n_b - 2 > S, got n={n} with S={s}")
-    # (ca^T ca + cb^T cb) / (n - 2), each centred group freed once its product is in
-    with np.errstate(over="ignore", invalid="ignore"):
-        ma = a.mean(axis=0)
-        mb = b.mean(axis=0)
-        diff = ma - mb  # (N, S)
-        ca = a - ma
-        cov = np.einsum("ans,ant->nst", ca, ca)
-        del ca
-        cb = b - mb
-        cov += np.einsum("ans,ant->nst", cb, cb)
-        del cb
-        cov /= n - 2
-    bad = np.flatnonzero(~(np.isfinite(cov).all(axis=(1, 2)) & np.isfinite(diff).all(axis=1)))
-    if bad.size:
-        v = bad[0]
-        if not (np.isfinite(a[:, v]).all() and np.isfinite(b[:, v]).all()):
-            raise ValueError(f"features at vertex {v} are not finite")
-        what = "mean difference" if np.isfinite(cov[v]).all() else "pooled covariance"
-        raise ValueError(f"{what} overflows at vertex {v}: its features are too large")
-    trace = np.trace(cov, axis1=1, axis2=2)
-    eigmin = np.linalg.eigvalsh(cov)[:, 0]
-    flagged = eigmin <= _SINGULAR_REL * np.maximum(trace / s, 1e-300)
-    if flagged.any():
-        ridge = _RIDGE_REL * np.maximum(trace / s, 1e-300)
-        cov = cov + flagged[:, None, None] * ridge[:, None, None] * np.eye(s)
-    sol = np.linalg.solve(cov, diff[:, :, None])[:, :, 0]
-    t2 = (n_a * n_b / n) * np.einsum("ns,ns->n", diff, sol)
+    t2, flagged = np.empty(n_vertices), np.zeros(n_vertices, dtype=bool)
+    step = max(1, _BLOCK_BYTES // (8 * s * (n + 3 * s)))
+    for lo in range(0, n_vertices, step):
+        blk = slice(lo, lo + step)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ma, mb = a[:, blk].mean(axis=0), b[:, blk].mean(axis=0)
+            diff = ma - mb  # (Nb, S)
+            ca = (a[:, blk] - ma).transpose(1, 2, 0)
+            cov = ca @ ca.transpose(0, 2, 1)
+            cb = (b[:, blk] - mb).transpose(1, 2, 0)
+            cov += cb @ cb.transpose(0, 2, 1)
+            cov /= n - 2
+        bad = np.flatnonzero(~(np.isfinite(cov).all(axis=(1, 2)) & np.isfinite(diff).all(axis=1)))
+        if bad.size:
+            v = lo + bad[0]
+            if not (np.isfinite(a[:, v]).all() and np.isfinite(b[:, v]).all()):
+                raise ValueError(f"features at vertex {v} are not finite")
+            what = "mean difference" if np.isfinite(cov[bad[0]]).all() else "pooled covariance"
+            raise ValueError(f"{what} overflows at vertex {v}: its features are too large")
+        scale = np.maximum(np.trace(cov, axis1=1, axis2=2) / s, 1e-300)
+        # A Cholesky of cov - shift I that completes proves eigvalsh(cov)[0] > tau when shift - tau
+        # exceeds, in units of u max_ij cov_ij (u = eps / 2), the shifted diagonal's rounding (1),
+        # Cholesky's backward error (S (S + 1); Higham 2002, Thms 10.3, 10.7) and eigvalsh's
+        # (15 S^2 u ||cov||_2 <= 15 S^3); 16 (S + 1)^3 exceeds their sum for every S.
+        tau = _SINGULAR_REL * scale
+        shift = tau + 8 * (s + 1) ** 3 * np.finfo(float).eps * cov.max(axis=(1, 2))
+        try:
+            np.linalg.cholesky(cov - shift[:, None, None] * np.eye(s))
+        except np.linalg.LinAlgError:
+            flagged[blk] = np.linalg.eigvalsh(cov)[:, 0] <= tau
+            cov += flagged[blk, None, None] * (_RIDGE_REL * scale)[:, None, None] * np.eye(s)
+        sol = np.linalg.solve(cov, diff[:, :, None])[:, :, 0]
+        t2[blk] = (n_a * n_b / n) * np.einsum("ns,ns->n", diff, sol)
     t2 = np.maximum(t2, 0.0)
     d2 = n - s - 1
     f = t2 * d2 / (s * (n - 2.0))

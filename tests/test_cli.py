@@ -533,6 +533,33 @@ class TestStatsCommand:
         err = capsys.readouterr().err
         assert f"{odd}: stack shape (5, 1) differs from (6, 1) in {ga / 'subj00.csv'}" in err
 
+    def test_hotelling_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # the map's batched matmul, Cholesky, eigvalsh and solve run in BLAS and LAPACK;
+        # 12 + 12 subjects of 3000 vertices make two blocks, the first with collinear
+        # vertices that it sends to eigvalsh
+        rng = np.random.default_rng(29)
+        labels = ["0.001", "0.002", "0.004", "0.008", "0.016"]
+        for name, shift in (("a", 0.3), ("b", 0.0)):
+            (tmp_path / name).mkdir()
+            for i in range(12):
+                values = rng.standard_normal((3000, 5)) + shift
+                values[:40, 4] = values[:40, 3]
+                write_stack_csv(tmp_path / name / f"s{i:02d}.csv",
+                                FieldStack(values, labels, "scales"))
+        src = Path(__file__).resolve().parent.parent / "src"
+        procs = [subprocess.Popen(
+            [sys.executable, "-m", "heatflow.cli", "stats", "hotelling", "--group-a",
+             str(tmp_path / "a"), "--group-b", str(tmp_path / "b"), "--fdr", "0.05",
+             "--out", str(tmp_path / f"threads{k}")],
+            env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": str(k)},
+        ) for k in (1, 2)]
+        assert [proc.wait(timeout=120) for proc in procs] == [0, 0]
+        sidecar = json.loads((tmp_path / "threads1.json").read_text())
+        assert sidecar["n_flagged"] == 40
+        for ext in ("csv", "json"):
+            one, two = (tmp_path / f"threads{k}.{ext}" for k in (1, 2))
+            assert one.read_bytes() == two.read_bytes()
+
     def test_outputs_do_not_depend_on_which_reader_read_the_csvs(self, tmp_path, monkeypatch):
         # the encoder's CSVs go through fields._decode; with it refused, np.loadtxt
         # reads them, and every StatMap and sidecar byte must be the same

@@ -7,6 +7,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import heatflow.stats
 from heatflow.fields import FieldStack
 from heatflow.stats import (
     StatMap,
@@ -158,20 +159,25 @@ class TestHotellingT2:
         assert np.all(np.isfinite(out.statistic))
 
     def test_pooled_covariance_is_bitwise_the_one_expression(self, monkeypatch):
-        # the covariance is built group by group in place; its bits must be those of
-        # (ca^T ca + cb^T cb) / (n - 2) formed in one expression
+        # the covariance is built block by block in place; its bits must be those of
+        # (ca ca^T + cb cb^T) / (n - 2) over the whole (N, S, n) groups in one expression,
+        # with the ridge trace(cov) / S 1e-10 on the diagonal of each flagged vertex
         rng = np.random.default_rng(26)
         a = rng.standard_normal((7, 50, 4)) * 10.0 ** rng.integers(-5, 6, 4) + 3.0
         b = rng.standard_normal((6, 50, 4)) * 10.0 ** rng.integers(-5, 6, 4)
         seen = []
-        eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: seen.append(m.copy()) or eigvalsh(m))
-        hotelling_t2_map(a, b)
-        ca = a - a.mean(axis=0, keepdims=True)
-        cb = b - b.mean(axis=0, keepdims=True)
-        want = (np.einsum("ans,ant->nst", ca, ca) + np.einsum("ans,ant->nst", cb, cb)) / (13 - 2)
-        assert len(seen) == 1
-        np.testing.assert_array_equal(seen[0].view(np.int64), want.view(np.int64))
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda m, d: seen.append(m.copy()) or solve(m, d))
+        monkeypatch.setattr(heatflow.stats, "_BLOCK_BYTES", 20 * 8 * 4 * (13 + 3 * 4))
+        out = hotelling_t2_map(a, b)
+        ca = (a - a.mean(axis=0)).transpose(1, 2, 0)
+        cb = (b - b.mean(axis=0)).transpose(1, 2, 0)
+        want = (ca @ ca.transpose(0, 2, 1) + cb @ cb.transpose(0, 2, 1)) / (13 - 2)
+        ridge = 1e-10 * np.maximum(np.trace(want, axis1=1, axis2=2) / 4, 1e-300)
+        assert 0 < out.flagged.sum() < 50
+        want[out.flagged] += ridge[out.flagged, None, None] * np.eye(4)
+        assert len(seen) == 3  # blocks of 20, 20 and 10 vertices
+        np.testing.assert_array_equal(np.concatenate(seen).view(np.int64), want.view(np.int64))
 
     def test_overflowing_features_fail_by_vertex(self):
         rng = np.random.default_rng(24)
@@ -202,6 +208,80 @@ class TestHotellingT2:
             # one subject far from three: the covariance is finite, the mean difference is not
             with pytest.raises(ValueError, match="^mean difference overflows at vertex 0: "):
                 hotelling_t2_map(np.full((1, 2, 1), 1.5e308), np.full((3, 2, 1), -5e307))
+
+    @staticmethod
+    def _planted(lam_over_tau, rng):
+        # group a's centred scatter is (n - 2) Q diag(1, 0.7, lam) Q^T at each vertex and
+        # group b is constant, so the pooled covariance has smallest eigenvalue lam
+        n_a, n_b, s = 8, 4, 3
+        a = np.empty((n_a, len(lam_over_tau), s))
+        for v, k in enumerate(lam_over_tau):
+            lam = np.array([1.0, 0.7, 0.0])
+            lam[2] = k * 1e-12 * lam.sum() / s / (1.0 - k * 1e-12 / s)
+            z = rng.standard_normal((n_a, s))
+            z = np.linalg.qr(z - z.mean(axis=0))[0]  # orthonormal, orthogonal to ones
+            q = np.linalg.qr(rng.standard_normal((s, s)))[0]
+            a[:, v] = z * np.sqrt((n_a + n_b - 2) * lam) @ q.T
+        return a, np.ones((n_b, len(lam_over_tau), s))
+
+    def test_cholesky_certificate_keeps_the_eigenvalue_flag_rule(self, monkeypatch):
+        # smallest eigenvalues of 0.5, 1.5 and 3 tau = 1e-12 trace / S beside
+        # well-conditioned vertices: the flags are eigvalsh(cov)[:, 0] <= tau at every vertex
+        a, b = self._planted([1e11, 0.5, 1e11, 1.5, 1e11, 3.0, 1e11], np.random.default_rng(29))
+        ca = (a - a.mean(axis=0)).transpose(1, 2, 0)
+        cov = ca @ ca.transpose(0, 2, 1) / (12 - 2)
+        rule = np.linalg.eigvalsh(cov)[:, 0] <= 1e-12 * np.trace(cov, axis1=1, axis2=2) / 3
+        np.testing.assert_array_equal(rule, [False, True, False, False, False, False, False])
+        eigvalsh = np.linalg.eigvalsh
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(len(m)) or eigvalsh(m))
+        np.testing.assert_array_equal(hotelling_t2_map(a, b).flagged, rule)
+        assert calls == [7]  # one block, which the 0.5 tau vertex sends to eigvalsh
+        monkeypatch.setattr(heatflow.stats, "_BLOCK_BYTES", 1)
+        calls.clear()
+        np.testing.assert_array_equal(hotelling_t2_map(a, b).flagged, rule)
+        assert calls == [1]  # vertex by vertex, the certificate holds at 1.5 and 3 tau
+
+    @pytest.mark.parametrize("vertices", [1, 2, 3])
+    def test_map_does_not_depend_on_the_block_size(self, monkeypatch, vertices):
+        # blocks that pass the certificate and blocks that fall back to eigvalsh
+        rng = np.random.default_rng(26)
+        a = rng.standard_normal((7, 50, 4)) * 10.0 ** rng.integers(-5, 6, 4) + 3.0
+        b = rng.standard_normal((6, 50, 4)) * 10.0 ** rng.integers(-5, 6, 4)
+        a[:, 20:] += rng.standard_normal((7, 30, 4))
+        a[:, 35:] -= 3.0  # BH rejects some vertices and keeps others
+        whole = hotelling_t2_map(a, b, fdr_q=0.05)
+        assert 0 < whole.flagged.sum() < 50 and 0 < whole.significant.sum() < 50
+        eigvalsh = np.linalg.eigvalsh
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(len(m)) or eigvalsh(m))
+        monkeypatch.setattr(heatflow.stats, "_BLOCK_BYTES", vertices * 8 * 4 * (13 + 3 * 4))
+        blocked = hotelling_t2_map(a, b, fdr_q=0.05)
+        assert 0 < len(calls) < -(-50 // vertices)  # some blocks certified, some not
+        for name in ("statistic", "p_values"):
+            np.testing.assert_array_equal(getattr(blocked, name).view(np.int64),
+                                          getattr(whole, name).view(np.int64))
+        for name in ("flagged", "significant", "dof", "fdr_threshold", "min_rejected_stat"):
+            np.testing.assert_array_equal(getattr(blocked, name), getattr(whole, name))
+
+    def test_refusals_name_the_vertex_in_a_later_block(self, monkeypatch):
+        monkeypatch.setattr(heatflow.stats, "_BLOCK_BYTES", 3 * 8 * 3 * (12 + 3 * 3))
+        rng = np.random.default_rng(29)
+        a = rng.standard_normal((6, 40, 3))
+        b = rng.standard_normal((6, 40, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a[:, 17] *= 1e200
+            with pytest.raises(ValueError, match="^pooled covariance overflows at vertex 17: "):
+                hotelling_t2_map(a, b)
+            a[:, 17] = rng.standard_normal((6, 3))
+            a[:1, 31], b[:, 31] = 1.5e308, -5e307  # one subject against three, one scale
+            with pytest.raises(ValueError, match="^mean difference overflows at vertex 31: "):
+                hotelling_t2_map(a[:1, :, :1], b[:3, :, :1])
+            a[:, 31] = 0.0
+            b[4, 25, 2] = np.inf
+            with pytest.raises(ValueError, match="^features at vertex 25 are not finite$"):
+                hotelling_t2_map(a, b)
 
     def test_dof_precondition(self):
         rng = np.random.default_rng(7)
@@ -366,6 +446,15 @@ class TestPValueHelpers:
         assert f_p_value(t * t, 1, dof) == pytest.approx(
             student_t_p_value(t, dof), rel=1e-12
         )
+
+    def test_huge_statistics_give_p_zero_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # a denormal pooled variance makes t about 1e161, whose square overflows
+            out = two_sample_t_map(subjects([[5.0, 5.0]]), subjects([[0.0, 1e-160]]))
+            assert out.statistic[0] > 1e160 and out.p_values[0] == 0.0
+            assert f_p_value(1e308, 10, 29) == 0.0
+            assert student_t_p_value(-1e200, 3) == 0.0
 
     @pytest.mark.parametrize("t, dof", [(0.3, 1), (-2.5, 4), (1.96, 30), (7.0, 12), (40.0, 200)])
     def test_student_t_against_mpmath_betainc(self, t, dof):
